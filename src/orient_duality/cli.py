@@ -120,16 +120,23 @@ def _json_with_space(space: Space, obj: dict) -> dict:
     return out
 
 
+def _write(args, payload: str) -> None:
+    if not args.out:
+        sys.stdout.write(payload)
+        return
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise ValueError("cannot write %s: %s" % (args.out, exc.strerror or exc)) from None
+
+
 def _emit(args, text_form: str, json_obj) -> None:
     if args.format == "json":
         payload = json.dumps(json_obj, indent=2) + "\n"
     else:
         payload = text_form if text_form.endswith("\n") else text_form + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _write(args, payload)
 
 
 def _default_truncation(space: Space) -> int:
@@ -252,11 +259,7 @@ def _cmd_verify(args) -> int:
         payload = reports_to_json(reports)
     else:
         payload = reports_to_table(reports)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _write(args, payload)
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 
@@ -339,9 +342,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _option_strings(parser: argparse.ArgumentParser) -> tuple[set, set]:
+    """(every option string, those that take one value), subcommands included."""
+    known, valued = set(), set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                k, v = _option_strings(sub)
+                known |= k
+                valued |= v
+        elif action.option_strings:
+            known.update(action.option_strings)
+            if action.nargs is None:
+                valued.update(action.option_strings)
+    return known, valued
+
+
+def _attach_dash_values(parser: argparse.ArgumentParser, argv: list) -> list:
+    """Join ``--opt -v`` into ``--opt=-v`` when ``-v`` is not an option, so
+    values such as ``-1,2`` or ``-b1`` reach the option instead of being
+    read as an unknown option."""
+    known, valued = _option_strings(parser)
+    out, i = [], 0
+    while i < len(argv):
+        tok = argv[i]
+        nxt = argv[i + 1] if i + 1 < len(argv) else None
+        if (
+            tok in valued
+            and nxt is not None
+            and nxt.startswith("-")
+            and not nxt.startswith("--")
+            and nxt not in known
+        ):
+            out.append("%s=%s" % (tok, nxt))
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_attach_dash_values(parser, list(argv)))
     try:
         return args.func(args)
     except ParseError as exc:

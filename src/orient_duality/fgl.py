@@ -37,7 +37,9 @@ from .errors import (
 # Exact expansion of the axiom checks in many symbols is expensive in pure
 # Python, so laws whose coefficients are themselves large polynomials are
 # probed up to this total degree instead of the full truncation bound.
-# Integer-ring laws are always checked at full precision.
+# Integer-ring laws are always checked at full precision.  The one-variable
+# comparison of the two formal inverses in ``check_axioms`` is cheap and
+# always runs at full precision, so it sees table entries above the probe.
 _AXIOM_PROBE_BOUND = 6
 
 
@@ -268,8 +270,9 @@ def apply_law(F: "FGL", p, q):
     q_pows: dict = {}
 
     def power(base, cache, n):
+        # base^n = base^(n-1) * base, so each power costs one product
         if n not in cache:
-            cache[n] = base ** n
+            cache[n] = base if n == 1 else power(base, cache, n - 1) * base
         return cache[n]
 
     for (i, j) in sorted(F.coeffs):
@@ -290,15 +293,28 @@ def apply_law(F: "FGL", p, q):
 class FGL:
     """A formal group law plus memoised derived data.
 
-    The coefficient table is immutable by convention.  The private caches
-    (logarithm, point classes, diagonal kernels) are filled idempotently,
-    so concurrent readers under the interpreter lock are safe.
+    The coefficient table is immutable by convention.  Every private cache
+    holds a pure function of the law, computed on first use:
+
+    * ``_log`` and ``_exp``: the logarithm and its compositional inverse;
+    * ``_inverse``: the formal inverse iota with F(x, iota(x)) = 0;
+    * ``_m_series``: the m-fold formal sums [m](x), keyed by m;
+    * ``_pn``: the point classes g_n;
+    * ``_kernel_cache``: the diagonal kernels (filled by ``gysin``).
+
+    The fills are idempotent: a value is computed completely before it is
+    stored, and two threads that race on one entry (for example under
+    ORIENT_DUALITY_THREADS) store equal values, so readers under the
+    interpreter lock never see a partial or inconsistent entry.
     """
 
     ring: CoeffRing
     truncation: int
     coeffs: dict
     _log: Series | None = field(default=None, repr=False)
+    _exp: Series | None = field(default=None, repr=False)
+    _inverse: Series | None = field(default=None, repr=False)
+    _m_series: dict = field(default_factory=dict, repr=False)
     _pn: dict = field(default_factory=dict, repr=False)
     _kernel_cache: dict = field(default_factory=dict, repr=False)
     _axioms_ok: bool = field(default=False, repr=False)
@@ -331,25 +347,30 @@ class FGL:
         return Series.identity(self.ring, self.truncation)
 
     def inverse(self) -> Series:
-        """The series iota with F(x, iota(x)) = 0."""
-        x = self.x_series()
-        inv = Series.make(self.ring, self.truncation, [self.ring.zero(), -self.ring.one()])
-        for d in range(2, self.truncation + 1):
-            err = apply_law(self, x, inv)[d]
-            if err:
-                inv = inv.shift_coeff(d, -err)
-        if apply_law(self, x, inv):
-            raise InternalConsistencyError("formal inverse failed to verify")
-        return inv
+        """The series iota with F(x, iota(x)) = 0, solved from the table
+        degree by degree (memoised)."""
+        if self._inverse is None:
+            self._inverse = _solve_inverse(self)
+        return self._inverse
 
     def m_series(self, m: int) -> Series:
-        """The m-fold formal sum [m](x); negative m via the inverse."""
+        """The m-fold formal sum [m](x) = F(x, [m-1](x)); negative m via
+        the inverse.  Memoised, together with every [k] built on the way."""
+        cache = self._m_series
+        if m in cache:
+            return cache[m]
         if m < 0:
-            return self.inverse().compose(self.m_series(-m))
-        out = Series.zero(self.ring, self.truncation)
-        x = self.x_series()
-        for _ in range(m):
-            out = apply_law(self, x, out)
+            out = self.inverse().compose(self.m_series(-m))
+        else:
+            k = m
+            while k > 0 and k not in cache:
+                k -= 1
+            out = cache[k] if k else Series.zero(self.ring, self.truncation)
+            x = self.x_series()
+            for j in range(k + 1, m + 1):
+                out = apply_law(self, x, out)
+                cache[j] = out
+        cache[m] = out
         return out
 
     # -- logarithm and point classes ------------------------------------
@@ -398,7 +419,10 @@ class FGL:
             )
 
     def exp(self) -> Series:
-        return self.log().reversion()
+        """The compositional inverse of the logarithm (memoised)."""
+        if self._exp is None:
+            self._exp = self.log().reversion()
+        return self._exp
 
     def pn_class(self, n: int) -> RingElem:
         """Direct image of 1 under projective n-space -> point.
@@ -420,6 +444,18 @@ class FGL:
                 raise InternalConsistencyError("g_%d is not integral: %s" % (n, g.render()))
             self._pn[n] = g
         return self._pn[n]
+
+
+def _solve_inverse(F: FGL) -> Series:
+    x = F.x_series()
+    inv = Series.make(F.ring, F.truncation, [F.ring.zero(), -F.ring.one()])
+    for d in range(2, F.truncation + 1):
+        err = apply_law(F, x, inv)[d]
+        if err:
+            inv = inv.shift_coeff(d, -err)
+    if apply_law(F, x, inv):
+        raise InternalConsistencyError("formal inverse failed to verify")
+    return inv
 
 
 def _series_on_nilpoly(s: Series, arg: NilPoly) -> NilPoly:
@@ -475,6 +511,7 @@ def universal_law(truncation: int) -> FGL:
     law = FGL(ring, n, coeffs)
     law._validate_log(log)
     law._log = log  # the construction data *is* the logarithm
+    law._exp = exp
     return law
 
 
@@ -496,7 +533,11 @@ def check_axioms(F: FGL) -> str | None:
 
     Symmetry and shape exactly; associativity and the logarithm identity
     up to the probe bound for symbol-heavy rings (full precision for the
-    integer rings).  The result is cached on the law.
+    integer rings).  Last, the formal inverse is derived twice, from the
+    table (F(x, iota) = 0) and from the logarithm (exp(-log x)), and the
+    two must agree at full precision; this also catches a table that
+    differs from its law above the probe bound, and a stale logarithm.
+    The result is cached on the law.
     """
     if F._axioms_ok:
         return None
@@ -523,18 +564,21 @@ def check_axioms(F: FGL) -> str | None:
     if left != right:
         return "associativity fails up to degree %d" % bound
     try:
-        F.log()
+        log = F.log()
+        inv = F.inverse()
+        via_log = F.exp().compose(Series(F.ring, F.truncation, tuple(-c for c in log.coeffs)))
     except InternalConsistencyError as exc:
         return str(exc)
-    if F.m_series(-1) != F.inverse():
-        return "[-1](x) differs from the formal inverse"
+    if inv != via_log:
+        return "formal inverse from the table differs from exp(-log(x))"
     F._axioms_ok = True
     return None
 
 
 def with_flipped_coefficient(F: FGL, i: int, j: int, *, keep_log: bool = True, keep_kernels: bool = True) -> FGL:
     """A copy of ``F`` with the sign of a(i,j) flipped, optionally keeping
-    derived caches from the original.
+    derived caches from the original.  The formal inverse and the
+    m-series derive from the table, so they are never kept.
 
     This is a fault-injection harness for the verification suite: a
     consistent recomputation of a flipped *symmetric pair* can produce an
@@ -548,6 +592,7 @@ def with_flipped_coefficient(F: FGL, i: int, j: int, *, keep_log: bool = True, k
     mutated = FGL(F.ring, F.truncation, coeffs)
     if keep_log:
         mutated._log = F._log
+        mutated._exp = F._exp
         mutated._pn = dict(F._pn)
     if keep_kernels:
         mutated._kernel_cache = F._kernel_cache

@@ -26,7 +26,7 @@ from .algebra import CoeffRing, RingElem
 from .errors import RingMismatchError, SpaceMismatchError
 from .fgl import FGL
 from .gysin import diagonal_kernel_class, pushforward_coh
-from .spaces import CohClass, Morphism, Projection, Space, basis
+from .spaces import CohClass, Morphism, Projection, Space, basis, parse_exponents
 
 __all__ = [
     "HomClass",
@@ -153,9 +153,7 @@ class HomClass:
         for item in obj["values"]:
             if not isinstance(item, dict) or "zeta" not in item or "coeff" not in item:
                 raise ParseError('each value must be {"zeta": [...], "coeff": "..."}')
-            expo = tuple(item["zeta"])
-            if len(expo) != space.nfactors or any(not isinstance(e, int) or e < 0 for e in expo):
-                raise ParseError("basis tuple %r does not fit %s" % (item["zeta"], space))
+            expo = parse_exponents(space, item["zeta"], "basis tuple")
             c = ring.parse(str(item["coeff"]))
             prev = values.get(expo)
             values[expo] = c if prev is None else prev + c

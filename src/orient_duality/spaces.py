@@ -21,6 +21,7 @@ Each knows its pullback on classes; the direct images live in ``gysin``
 since they depend on the group law.
 """
 
+import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -84,6 +85,18 @@ def basis(space: Space) -> list[tuple[int, ...]]:
         tuples = [t + (e,) for t in tuples for e in range(n + 1)]
     tuples.sort(key=lambda t: (sum(t), t))
     return tuples
+
+
+def parse_exponents(space: Space, raw, what: str) -> tuple[int, ...]:
+    """The exponent tuple of one class-literal item: one integer in
+    0..n_t per factor.  JSON booleans are not integers here, and an
+    exponent above its factor's dimension is an error, not a zero term."""
+    if not isinstance(raw, (list, tuple)) or len(raw) != space.nfactors or any(
+        isinstance(e, bool) or not isinstance(e, int) or not 0 <= e <= n
+        for e, n in zip(raw, space.factors)
+    ):
+        raise ParseError("%s %s does not fit %s" % (what, json.dumps(raw), space))
+    return tuple(raw)
 
 
 class CohClass:
@@ -246,9 +259,7 @@ class CohClass:
         for item in obj["terms"]:
             if not isinstance(item, dict) or "zeta" not in item or "coeff" not in item:
                 raise ParseError('each term must be {"zeta": [...], "coeff": "..."}')
-            expo = tuple(item["zeta"])
-            if len(expo) != space.nfactors or any(not isinstance(e, int) or e < 0 for e in expo):
-                raise ParseError("exponent list %r does not fit %s" % (item["zeta"], space))
+            expo = parse_exponents(space, item["zeta"], "exponent list")
             c = ring.parse(str(item["coeff"]))
             prev = terms.get(expo)
             terms[expo] = c if prev is None else prev + c

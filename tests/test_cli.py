@@ -154,6 +154,64 @@ def test_out_writes_file(tmp_path, capsys):
     assert json.loads(path.read_text())["terms"] == [{"zeta": [1], "coeff": "3"}]
 
 
+def test_out_into_missing_directory_exits_2(tmp_path, capsys):
+    path = tmp_path / "no-such-dir" / "fundamental.json"
+    code, out, err = _run(
+        capsys, "fundamental", "--theory", "additive", "--space", "P1", "--out", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "no-such-dir" in err
+    code, _, err = _run(
+        capsys, "verify", "--theory", "additive", "--space", "P1", "--out", str(path),
+    )
+    assert code == 2 and err.startswith("error: ")
+
+
+# -- option values that begin with '-' -----------------------------------------
+
+
+def test_euler_negative_degrees_as_separate_value(capsys):
+    code, out, err = _run(
+        capsys, "euler", "--theory", "multiplicative", "--space", "P1xP1", "--degrees", "-1,2",
+    )
+    assert code == 0, err
+    _, joined, _ = _run(
+        capsys, "euler", "--theory", "multiplicative", "--space", "P1xP1", "--degrees=-1,2",
+    )
+    assert out == joined
+
+
+def test_ring_parse_negative_element_as_separate_value(capsys):
+    code, out, err = _run(capsys, "ring", "--theory", "universal", "--truncation", "4", "--parse", "-b1")
+    assert code == 0, err
+    assert out.splitlines()[-1] == "parsed: -b1"
+
+
+def test_option_names_are_not_taken_as_values(capsys):
+    # a known option after a valued option stays an option
+    with pytest.raises(SystemExit) as exc:
+        main(["ring", "--theory", "universal", "--parse", "--format", "json"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+# -- class literals -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("zeta", ["[true]", "[false]", "[7]", "[3]", "[-1]", "[1.0]", '"1"', "1"])
+@pytest.mark.parametrize("direction,key", [("to-hom", "terms"), ("to-coh", "values")])
+def test_exit_2_on_bad_class_exponent(capsys, zeta, direction, key):
+    literal = '{"%s": [{"zeta": %s, "coeff": "1"}]}' % (key, zeta)
+    code, out, err = _run(
+        capsys, "dualize", "--theory", "additive", "--space", "P2",
+        "--direction", direction, "--class", literal,
+    )
+    assert code == 2
+    assert out == ""
+    assert "does not fit P2" in err
+
+
 # -- morphism grammar ---------------------------------------------------------
 
 

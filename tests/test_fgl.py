@@ -272,6 +272,107 @@ def test_flip_with_stale_log_keeps_old_point_classes():
     assert mut.pn_class(1) == beta  # stale, inconsistent with the table
 
 
+def test_axioms_catch_symmetric_flip_above_probe_bound():
+    # a(3,5) and a(5,3) sit in total degree 8, above the associativity
+    # probe; only the full-precision comparison of the two inverses sees
+    # that the table no longer comes from its logarithm
+    law = universal_law(10)
+    coeffs = dict(law.coeffs)
+    coeffs[(3, 5)] = -coeffs[(3, 5)]
+    coeffs[(5, 3)] = -coeffs[(5, 3)]
+    broken = FGL(law.ring, 10, coeffs)
+    w = check_axioms(broken)
+    assert w is not None and "inverse" in w
+
+
+def test_axioms_catch_stale_log_on_flipped_law():
+    law = multiplicative_law(6)
+    law.log()
+    stale = with_flipped_coefficient(law, 1, 1)  # keeps the old logarithm
+    w = check_axioms(stale)
+    assert w is not None and "inverse" in w
+    fresh = with_flipped_coefficient(law, 1, 1, keep_log=False, keep_kernels=False)
+    assert check_axioms(fresh) is None
+
+
+def test_axioms_report_inconsistent_inverse(monkeypatch):
+    import orient_duality.fgl as fgl_mod
+
+    def failing(F):
+        raise InternalConsistencyError("formal inverse failed to verify")
+
+    monkeypatch.setattr(fgl_mod, "_solve_inverse", failing)
+    assert check_axioms(multiplicative_law(4)) == "formal inverse failed to verify"
+
+
+# -- memoised derived series -------------------------------------------------
+
+
+def test_derived_series_are_memoised():
+    law = multiplicative_law(6)
+    assert law.m_series(-2) is law.m_series(-2)
+    assert law.m_series(3) is law.m_series(3)
+    assert law.inverse() is law.inverse()
+    assert law.exp() is law.exp()
+    # [3] was built through [1] and [2]
+    assert set(law._m_series) == {-2, 1, 2, 3}
+
+
+def test_universal_law_reuses_construction_exp():
+    law = universal_law(5)
+    assert law._exp is not None
+    assert law.exp() is law._exp
+    assert law.exp() == law.log().reversion()
+
+
+def test_mutant_m_series_recomputed_from_own_table():
+    law = multiplicative_law(6)
+    law.log()
+    law.exp()
+    old = law.m_series(-1)
+    mut = with_flipped_coefficient(law, 1, 1)  # keep_log: log and exp are kept
+    assert mut._log is law._log and mut._exp is law._exp
+    assert mut._inverse is None and mut._m_series == {}
+    # the flipped law x + y + beta*x*y has [-1](x) = -x / (1 + beta*x)
+    beta = law.ring.gen(0)
+    got = mut.m_series(-1)
+    assert got != old
+    for d in range(1, 7):
+        assert got[d] == -((-beta) ** (d - 1))
+    fresh = with_flipped_coefficient(law, 1, 1, keep_log=False)
+    assert fresh._log is None and fresh._exp is None
+
+
+def test_inverse_recursion_runs_once_per_law_on_grid(monkeypatch):
+    import orient_duality.fgl as fgl_mod
+    from orient_duality.verify import CheckConfig, run_suite
+
+    calls = []
+    solve = fgl_mod._solve_inverse
+
+    def counting(F):
+        calls.append(id(F))
+        return solve(F)
+
+    monkeypatch.setattr(fgl_mod, "_solve_inverse", counting)
+    monkeypatch.delenv("ORIENT_DUALITY_THREADS", raising=False)
+    spaces = tuple(Space.parse(s) for s in ("P1", "P2", "P3", "P1xP1", "P1xP2", "P2xP2"))
+    cfg = CheckConfig(theories=(RingKind.UNIVERSAL,), spaces=spaces, truncation=7, seed=0, samples=4)
+    reports = run_suite(cfg, checks=("V1-fgl-axioms", "V2-orientation"))
+    assert all(r.status == "pass" for r in reports)
+    assert len(calls) == 1
+
+
+def test_apply_law_powers_match_direct_powers():
+    law = universal_law(6)
+    x = law.x_series()
+    y = law.m_series(2)
+    direct = x + y
+    for (i, j), a in sorted(law.coeffs.items()):
+        direct = direct + (x ** i) * (y ** j) * a
+    assert apply_law(law, x, y) == direct
+
+
 def test_log_validation_rejects_tampered_table():
     # a table whose (1,2)/(2,1) slots are inconsistent with any logarithm
     ring = CoeffRing.universal(5)

@@ -330,6 +330,9 @@ def test_hom_json_rejects(mult):
         HomClass.from_json_obj(sp, mult.ring, {"terms": []})
     with pytest.raises(ParseError):
         HomClass.from_json_obj(sp, mult.ring, {"values": [{"zeta": [0, 1], "coeff": "1"}]})
+    for zeta in ([True], [2], [-1]):
+        with pytest.raises(ParseError):
+            HomClass.from_json_obj(sp, mult.ring, {"values": [{"zeta": zeta, "coeff": "1"}]})
 
 
 def test_hom_render(mult):

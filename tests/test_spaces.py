@@ -326,6 +326,15 @@ def test_json_rejects_malformed():
         CohClass.from_json_obj(sp, RING, {"terms": [{"zeta": [0]}]})
 
 
+def test_json_rejects_bool_and_out_of_range_exponents():
+    sp = Space((2,))
+    for zeta in ([True], [3], [-1]):
+        with pytest.raises(ParseError):
+            CohClass.from_json_obj(sp, RING, {"terms": [{"zeta": zeta, "coeff": "1"}]})
+    top = CohClass.from_json_obj(sp, RING, {"terms": [{"zeta": [2], "coeff": "1"}]})
+    assert top == CohClass.monomial(sp, RING, (2,))
+
+
 def test_render_frozen():
     sp = Space((2, 1))
     beta = RING.gen(0)
