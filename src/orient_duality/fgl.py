@@ -300,7 +300,12 @@ class FGL:
     * ``_inverse``: the formal inverse iota with F(x, iota(x)) = 0;
     * ``_m_series``: the m-fold formal sums [m](x), keyed by m;
     * ``_pn``: the point classes g_n;
-    * ``_kernel_cache``: the diagonal kernels (filled by ``gysin``).
+    * ``_kernel_cache``: the diagonal kernels of P^n, keyed by n (filled
+      by ``gysin.kernel``);
+    * ``_diagonal_cache``: the diagonal classes on X x X, keyed by the
+      space X (filled by ``gysin.diagonal_kernel_class``);
+    * ``_fundamental_cache``: the fundamental classes [X], keyed by X
+      (filled by ``homodual.fundamental_class``).
 
     The fills are idempotent: a value is computed completely before it is
     stored, and two threads that race on one entry (for example under
@@ -317,6 +322,8 @@ class FGL:
     _m_series: dict = field(default_factory=dict, repr=False)
     _pn: dict = field(default_factory=dict, repr=False)
     _kernel_cache: dict = field(default_factory=dict, repr=False)
+    _diagonal_cache: dict = field(default_factory=dict, repr=False)
+    _fundamental_cache: dict = field(default_factory=dict, repr=False)
     _axioms_ok: bool = field(default=False, repr=False)
 
     def a(self, i: int, j: int) -> RingElem:
@@ -578,7 +585,9 @@ def check_axioms(F: FGL) -> str | None:
 def with_flipped_coefficient(F: FGL, i: int, j: int, *, keep_log: bool = True, keep_kernels: bool = True) -> FGL:
     """A copy of ``F`` with the sign of a(i,j) flipped, optionally keeping
     derived caches from the original.  The formal inverse and the
-    m-series derive from the table, so they are never kept.
+    m-series derive from the table, so they are never kept.  Fundamental
+    classes are kept with the logarithm (they are products of point
+    classes), diagonal classes with the kernels they are built from.
 
     This is a fault-injection harness for the verification suite: a
     consistent recomputation of a flipped *symmetric pair* can produce an
@@ -594,6 +603,8 @@ def with_flipped_coefficient(F: FGL, i: int, j: int, *, keep_log: bool = True, k
         mutated._log = F._log
         mutated._exp = F._exp
         mutated._pn = dict(F._pn)
+        mutated._fundamental_cache = dict(F._fundamental_cache)
     if keep_kernels:
         mutated._kernel_cache = F._kernel_cache
+        mutated._diagonal_cache = dict(F._diagonal_cache)
     return mutated

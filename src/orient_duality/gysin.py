@@ -20,9 +20,14 @@ the projection formula requirement
 
 which pins C as the inverse of the pairing matrix M with M[k][l] =
 g_(n-k-l) (anti-triangular with unit anti-diagonal, hence invertible over
-any coefficient ring by back substitution, no division needed).  Kernels
-are memoised on the law object: the cache is read-mostly and fills are
-idempotent, so concurrent readers are safe.
+any coefficient ring by back substitution, no division needed).  The
+kernels of P^n and the diagonal classes of product spaces are memoised on
+the law object: the caches are read-mostly and fills are idempotent, so
+concurrent readers are safe.
+
+The homological transposes f_* and f^! (``homodual``) use the same
+per-shape data: the point classes for projections and ``placed_kernel``
+for diagonals.
 """
 
 from dataclasses import dataclass
@@ -92,16 +97,6 @@ def kernel(law: FGL, n: int) -> GysinKernel:
     return kern
 
 
-def diag_coefficients(law: FGL, n: int) -> tuple:
-    """The full (n+1) x (n+1) matrix C of diagonal coefficients.
-
-    Rows and columns are indexed 0..n; the boundary row/column come out of
-    the same inversion (C[0][l] = delta_{l,n}), so no special casing is
-    needed downstream.
-    """
-    return kernel(law, n).C
-
-
 def _check_pushforward_args(f: Morphism, alpha: CohClass, law: FGL):
     if alpha.space != f.source:
         raise SpaceMismatchError(
@@ -136,20 +131,7 @@ def pushforward_coh(f: Morphism, alpha: CohClass, law: FGL) -> CohClass:
             terms[expo] = c if prev is None else prev + c
         return CohClass(f.target, alpha.ring, terms)
     if isinstance(f, Diagonal):
-        t = f.factor
-        kern = kernel(law, f.source.factors[t])
-        target = f.target
-        k = target.nfactors
-        kclass = CohClass(
-            target,
-            alpha.ring,
-            {
-                tuple(i if p == t else (j if p == t + 1 else 0) for p in range(k)): c
-                for (i, j), c in kern.K.terms.items()
-            },
-        )
-        p1 = Projection(target, tuple(p for p in range(k) if p != t + 1))
-        return p1.pullback(alpha) * kclass
+        return diagonal_section(f).pullback(alpha) * placed_kernel(f, law)
     if isinstance(f, Permutation):
         return f.inverse().pullback(alpha)
     if isinstance(f, Composite):
@@ -157,6 +139,28 @@ def pushforward_coh(f: Morphism, alpha: CohClass, law: FGL) -> CohClass:
             alpha = pushforward_coh(part, alpha, law)
         return alpha
     raise TypeError("unknown morphism shape %r" % type(f).__name__)
+
+
+def placed_kernel(f: Diagonal, law: FGL) -> CohClass:
+    """The kernel of P^(n_t) in slots t, t+1 of ``f.target``, so that
+    f_!(alpha) = q^*(alpha) * placed_kernel(f) with q = diagonal_section(f)."""
+    t = f.factor
+    k = f.target.nfactors
+    return CohClass(
+        f.target,
+        law.ring,
+        {
+            tuple(i if p == t else (j if p == t + 1 else 0) for p in range(k)): c
+            for (i, j), c in kernel(law, f.source.factors[t]).K.terms.items()
+        },
+    )
+
+
+def diagonal_section(f: Diagonal) -> Projection:
+    """The projection of ``f.target`` onto ``f.source`` that forgets the
+    second copy of the duplicated factor."""
+    k = f.target.nfactors
+    return Projection(f.target, tuple(p for p in range(k) if p != f.factor + 1))
 
 
 def diamond_coh(f: Morphism, law: FGL):
@@ -173,22 +177,19 @@ def diagonal_kernel_class(space: Space, law: FGL) -> CohClass:
 
     Built as the external product of the per-factor kernels pulled back
     along the factor shuffle; agrees with pushing 1 along
-    ``spaces.full_diagonal`` (the verification suite checks both)."""
-    k = space.nfactors
-    if k == 0:
-        return CohClass.one(Space.point(), law.ring)
-    blocks = None
-    for n in space.factors:
-        kn = kernel(law, n).K
-        blocks = kn if blocks is None else cross_coh(blocks, kn)
-    # blocks lives on (n1, n1, n2, n2, ...); the shuffle sends X x X there.
-    double = space.times(space)
-    sigma = []
-    for t in range(k):
-        sigma.append(t)
-        sigma.append(k + t)
-    shuffle = Permutation(double, tuple(sigma))
-    return shuffle.pullback(blocks)
+    ``spaces.full_diagonal`` (the verification suite checks both).
+    Memoised on the law."""
+    cached = law._diagonal_cache.get(space)
+    if cached is None:
+        blocks = CohClass.one(Space.point(), law.ring)
+        for n in space.factors:
+            blocks = cross_coh(blocks, kernel(law, n).K)
+        # blocks lives on (n1, n1, n2, n2, ...); the shuffle sends X x X there.
+        k = space.nfactors
+        sigma = tuple(s for t in range(k) for s in (t, k + t))
+        cached = Permutation(space.times(space), sigma).pullback(blocks)
+        law._diagonal_cache[space] = cached
+    return cached
 
 
 def kernel_transposed_invariant(space: Space, law: FGL) -> bool:

@@ -16,6 +16,22 @@ Gysin structure:
 * ``duality_to_hom``            alpha -> alpha cap [X]
 * ``duality_to_coh``            a -> K_X / a  (diagonal class slant a)
 
+The two transposes are not evaluated one basis monomial at a time; each
+generator shape has a direct formula (composites apply their parts in
+turn), which follows from the shape's pullback and Gysin map:
+
+* ``Projection``:  f_* keeps the values at tuples that vanish on the
+  dropped slots; (f^! a)(e) = a(e|keep) * prod_(t dropped) g_(n_t - e_t);
+* ``LinearEmbed``: f_* keeps every value at its tuple; f^! moves slot t
+  down by n - m;
+* ``Diagonal``:    f_* spreads a(v) over the tuples that split v_t into
+  (i, v_t - i); f^! a = q_*(K_t cap a) with K_t the kernel placed in the
+  two slots and q the projection that forgets the second one;
+* ``Permutation``: f_* reorders tuples; f^! = (f^-1)_*.
+
+``fundamental_class`` is memoised on the law, and ``cap`` matches
+exponents through the packed keys of ``spaces.packed_keys``.
+
 The projective bundle decomposition is realised by ``psi``/``pbt_section``
 for projections that drop a single factor.
 """
@@ -25,8 +41,20 @@ from fractions import Fraction
 from .algebra import CoeffRing, RingElem
 from .errors import RingMismatchError, SpaceMismatchError
 from .fgl import FGL
-from .gysin import diagonal_kernel_class, pushforward_coh
-from .spaces import CohClass, Morphism, Projection, Space, basis, parse_exponents
+from .gysin import diagonal_kernel_class, diagonal_section, placed_kernel
+from .spaces import (
+    CohClass,
+    Composite,
+    Diagonal,
+    LinearEmbed,
+    Morphism,
+    Permutation,
+    Projection,
+    Space,
+    basis,
+    packed_keys,
+    parse_exponents,
+)
 
 __all__ = [
     "HomClass",
@@ -178,14 +206,36 @@ def pair(alpha: CohClass, a: HomClass) -> RingElem:
 
 
 def pushforward_hom(f: Morphism, a: HomClass) -> HomClass:
-    """(f_* a)(beta) = a(f^*(beta))."""
+    """(f_* a)(beta) = a(f^*(beta)).
+
+    Every generator pulls a basis monomial back to a basis monomial (or
+    to 0), so f_* only moves the values of ``a`` between basis tuples."""
     if a.space != f.source:
         raise SpaceMismatchError("direct image along %s needs a class on %s" % (f.render(), f.source))
-    values = {}
-    for e in basis(f.target):
-        v = pair(f.pullback(CohClass.monomial(f.target, a.ring, e)), a)
-        if v:
-            values[e] = v
+    if isinstance(f, Composite):
+        for part in reversed(f.parts):
+            a = pushforward_hom(part, a)
+        return a
+    if isinstance(f, Projection):
+        dropped = f.dropped
+        values = {
+            tuple(v[t] for t in f.keep): c
+            for v, c in a.values.items()
+            if not any(v[t] for t in dropped)
+        }
+    elif isinstance(f, LinearEmbed):
+        values = a.values
+    elif isinstance(f, Diagonal):
+        t = f.factor
+        values = {}
+        for v, c in a.values.items():
+            head, vt, tail = v[:t], v[t], v[t + 1 :]
+            for i in range(vt + 1):
+                values[head + (i, vt - i) + tail] = c
+    elif isinstance(f, Permutation):
+        values = {tuple(v[p] for p in f.perm): c for v, c in a.values.items()}
+    else:
+        raise TypeError("unknown morphism shape %r" % type(f).__name__)
     return HomClass(f.target, a.ring, values)
 
 
@@ -193,11 +243,43 @@ def shriek_hom(f: Morphism, a: HomClass, law: FGL) -> HomClass:
     """(f^! a)(beta) = a(f_!(beta)); raises homological degree like f_!."""
     if a.space != f.target:
         raise SpaceMismatchError("transfer along %s needs a class on %s" % (f.render(), f.target))
+    if a.ring != law.ring:
+        raise RingMismatchError("class and law use different coefficient rings")
+    if isinstance(f, Composite):
+        for part in f.parts:
+            a = shriek_hom(part, a, law)
+        return a
+    if isinstance(f, Permutation):
+        return pushforward_hom(f.inverse(), a)
+    if isinstance(f, Diagonal):
+        return pushforward_hom(diagonal_section(f), cap(placed_kernel(f, law), a))
     values = {}
-    for e in basis(f.source):
-        v = pair(pushforward_coh(f, CohClass.monomial(f.source, a.ring, e), law), a)
-        if v:
-            values[e] = v
+    if isinstance(f, LinearEmbed):
+        t = f.factor
+        shift = f.target.factors[t] - f.degree
+        for w, c in a.values.items():
+            if w[t] >= shift:
+                values[w[:t] + (w[t] - shift,) + w[t + 1 :]] = c
+    elif isinstance(f, Projection):
+        dims = f.source.factors
+        dropped = f.dropped
+        weights = []
+        for d in basis(Space(tuple(dims[t] for t in dropped))):
+            g = law.ring.one()
+            for t, x in zip(dropped, d):
+                g = g * law.pn_class(dims[t] - x)
+            if g:
+                weights.append((d, g))
+        expo = [0] * f.source.nfactors
+        for w, c in a.values.items():
+            for t, x in zip(f.keep, w):
+                expo[t] = x
+            for d, g in weights:
+                for t, x in zip(dropped, d):
+                    expo[t] = x
+                values[tuple(expo)] = g * c
+    else:
+        raise TypeError("unknown morphism shape %r" % type(f).__name__)
     return HomClass(f.source, a.ring, values)
 
 
@@ -216,13 +298,15 @@ def cap(alpha: CohClass, a: HomClass) -> HomClass:
         raise SpaceMismatchError("cap needs both classes on the same space")
     if alpha.ring != a.ring:
         raise RingMismatchError("cap needs both classes over the same ring")
+    keys, expos = packed_keys(alpha.space)
+    vals = [(keys[v_expo], v) for v_expo, v in a.values.items()]
     values = {}
-    bounds = alpha.space.factors
     for e, c in alpha.terms.items():
-        for v_expo, v in a.values.items():
+        ke = keys[e]
+        for kv, v in vals:
             # beta * alpha picks up a at v_expo iff beta = v_expo - e
-            b_expo = tuple(x - y for x, y in zip(v_expo, e))
-            if any(b < 0 for b in b_expo):
+            b_expo = expos.get(kv - ke)
+            if b_expo is None:
                 continue
             contrib = c * v
             prev = values.get(b_expo)
@@ -294,17 +378,22 @@ def slant_r(alpha: CohClass, b: HomClass) -> HomClass:
 
 def fundamental_class(space: Space, law: FGL) -> HomClass:
     """[X](z^e) = prod_t g_(n_t - e_t); equals the transfer of the point
-    class along the projection to the point."""
-    values = {}
-    for e in basis(space):
-        v = law.ring.one()
-        for n, x in zip(space.factors, e):
-            v = v * law.pn_class(n - x)
-            if not v:
-                break
-        if v:
-            values[e] = v
-    return HomClass(space, law.ring, values)
+    class along the projection to the point (V11 compares the two).
+    Memoised on the law."""
+    cached = law._fundamental_cache.get(space)
+    if cached is None:
+        values = {}
+        for e in basis(space):
+            v = law.ring.one()
+            for n, x in zip(space.factors, e):
+                v = v * law.pn_class(n - x)
+                if not v:
+                    break
+            if v:
+                values[e] = v
+        cached = HomClass(space, law.ring, values)
+        law._fundamental_cache[space] = cached
+    return cached
 
 
 def duality_to_hom(alpha: CohClass, law: FGL) -> HomClass:

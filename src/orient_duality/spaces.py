@@ -10,6 +10,11 @@ sparse maps from exponent tuples to ring elements; the quotient relations
 are enforced at construction by dropping out-of-bound exponents, so equal
 classes always have equal term maps.
 
+Products match exponents through packed keys (``packed_keys``): each
+in-range tuple e is the integer sum e_t * R_t with R_t = prod_(s<t)
+(2 n_s + 1), so adding or subtracting two tuples is one integer operation
+and one dictionary lookup decides whether the result is in range.
+
 Morphisms come in four generator shapes plus composites:
 
 * ``Projection``  -- keep an ordered subset of factors;
@@ -25,6 +30,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import CoeffRing, RingElem
 from .errors import (
@@ -85,6 +91,25 @@ def basis(space: Space) -> list[tuple[int, ...]]:
         tuples = [t + (e,) for t in tuples for e in range(n + 1)]
     tuples.sort(key=lambda t: (sum(t), t))
     return tuples
+
+
+@lru_cache(maxsize=128)
+def packed_keys(space: Space) -> tuple[dict, dict]:
+    """(tuple -> key, key -> tuple) over the in-range exponent tuples.
+
+    The key of e is sum_t e_t * R_t with R_t = prod_(s<t) (2 n_s + 1).
+    For in-range e and f, digit t of e + f lies in 0..2 n_t and digit t
+    of e - f in -n_t..n_t; each range is a full digit set for the radix
+    2 n_t + 1, so neither sum nor difference carries and its key equals
+    the key of an in-range tuple exactly when its digits are that tuple.
+    The tables are shared: callers must not modify them.
+    """
+    keys = {(): 0}
+    radix = 1
+    for n in space.factors:
+        keys = {e + (i,): k + i * radix for e, k in keys.items() for i in range(n + 1)}
+        radix *= 2 * n + 1
+    return keys, {k: e for e, k in keys.items()}
 
 
 def parse_exponents(space: Space, raw, what: str) -> tuple[int, ...]:
@@ -189,13 +214,15 @@ class CohClass:
         if not isinstance(other, CohClass):
             return NotImplemented
         self._check(other)
-        bounds = self.space.factors
+        keys, expos = packed_keys(self.space)
+        right = [(keys[e], c) for e, c in other.terms.items()]
         terms: dict = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                if any(e > n for e, n in zip(expo, bounds)):
-                    continue
+            k1 = keys[e1]
+            for k2, c2 in right:
+                expo = expos.get(k1 + k2)
+                if expo is None:
+                    continue  # some z_t^(n_t + 1) divides the product
                 c = c1 * c2
                 prev = terms.get(expo)
                 terms[expo] = c if prev is None else prev + c

@@ -39,7 +39,6 @@ from .algebra import CoeffRing, RingKind
 from .errors import CalculatorError, TruncationUnsoundError
 from .fgl import FGL, apply_law, check_axioms, law_for
 from .gysin import (
-    diag_coefficients,
     diagonal_kernel_class,
     diamond_coh,
     kernel,
@@ -489,7 +488,7 @@ def _check_diag_recursion(ctx: _Ctx):
     for n in sorted(set(space.factors)):
         if n < 1:
             continue
-        C = diag_coefficients(law, n)
+        C = kernel(law, n).C
         g = law.pn_class(n)
         acc = ring.zero()
         for j in range(1, n + 1):
@@ -529,7 +528,7 @@ def _check_identity_decomposition(ctx: _Ctx):
     law, ring = ctx.law, ctx.ring
     for n in sorted(set(ctx.space.factors)):
         pn = Space((n,))
-        C = diag_coefficients(law, n)
+        C = kernel(law, n).C
         embeds = [LinearEmbed(pn, 0, n - i) for i in range(n + 1)]
         projs = [Projection(Space((n, k)), (0,)) for k in range(n + 1)]
         for e in basis(pn):
@@ -710,6 +709,21 @@ CHECKS: tuple = (
 CHECK_IDS = tuple(cid for cid, _ in CHECKS)
 
 
+def _thread_count() -> int:
+    """The pool size from ORIENT_DUALITY_THREADS: unset or empty means 1;
+    anything but a positive integer is refused."""
+    raw = os.environ.get(THREADS_ENV)
+    if not raw:
+        return 1
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError("%s=%r is not a positive integer" % (THREADS_ENV, raw))
+    return n
+
+
 def run_suite(cfg: CheckConfig, laws: dict | None = None, checks=None) -> list[CheckReport]:
     """Run the configured checks; returns one report per (check, theory,
     space) in a deterministic order.
@@ -718,6 +732,7 @@ def run_suite(cfg: CheckConfig, laws: dict | None = None, checks=None) -> list[C
     injection hook used by the meta-tests); ``checks`` restricts to a
     subset of check ids.
     """
+    nthreads = _thread_count()
     selected = [(cid, fn) for cid, fn in CHECKS if checks is None or cid in set(checks)]
     if checks is not None and len(selected) != len(set(checks)):
         unknown = set(checks) - {cid for cid, _ in CHECKS}
@@ -747,13 +762,6 @@ def run_suite(cfg: CheckConfig, laws: dict | None = None, checks=None) -> list[C
         status = "pass" if witness is None else "fail"
         return CheckReport(cid, kind.value, space.render(), status, witness)
 
-    nthreads = 0
-    raw = os.environ.get(THREADS_ENV)
-    if raw:
-        try:
-            nthreads = int(raw)
-        except ValueError:
-            nthreads = 0
     if nthreads > 1:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
             reports = list(pool.map(run_one, tasks))

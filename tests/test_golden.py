@@ -1,0 +1,89 @@
+"""Golden outputs: the sha256 of the stdout of fixed CLI commands.
+
+The digests pin the exact bytes the calculator prints, so a change that
+only means to make it faster cannot alter an answer unnoticed.  Most
+commands print class values; the two ``verify`` runs pin the report
+format and the witnesses' absence.  A deliberate change of output must
+update the digest here and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from orient_duality.cli import main
+
+MIXED_COH_P2xP2 = (
+    '{"terms": [{"zeta": [0, 0], "coeff": "3"}, {"zeta": [1, 0], "coeff": "1/2*b1"}, '
+    '{"zeta": [0, 2], "coeff": "-2"}, {"zeta": [2, 1], "coeff": "b1 + 5"}]}'
+)
+MIXED_HOM_P2xP1 = (
+    '{"values": [{"zeta": [0, 0], "coeff": "beta^3"}, {"zeta": [1, 1], "coeff": "-4"}, '
+    '{"zeta": [2, 0], "coeff": "2*beta"}, {"zeta": [2, 1], "coeff": "7"}]}'
+)
+MIXED_COH_P2xP1 = (
+    '{"terms": [{"zeta": [0, 0], "coeff": "1"}, {"zeta": [1, 0], "coeff": "-3*beta"}, '
+    '{"zeta": [2, 1], "coeff": "2"}, {"zeta": [1, 1], "coeff": "beta^2"}]}'
+)
+
+GOLDEN = [
+    (
+        ["verify", "--format", "json"],
+        "f7d1b654c661e7113336d3fdc0d0ff03f669b47a36328719a42dc9cd567858da",
+    ),
+    (
+        [
+            "verify", "--theory", "multiplicative", "--space", "P2xP2xP2,P3xP3xP1",
+            "--samples", "1", "--format", "json",
+        ],
+        "9aa3faaf7028610da3a895551972c3bdc0bf36c154510cb7236e6ac2f7eb79db",
+    ),
+    (
+        ["kernel", "--theory", "universal", "--space", "P2xP2", "--format", "json"],
+        "6fb334306ab1dd53d4d8ca07cb2799bd725f48a32ba9987cf551e514be1b92d3",
+    ),
+    (
+        ["fundamental", "--theory", "universal", "--space", "P2xP3", "--format", "json"],
+        "328748114e6bc4fb51d10911cd57bb62640605312cd5753d7698676338270d01",
+    ),
+    (
+        [
+            "dualize", "--theory", "universal", "--space", "P2xP2", "--direction", "to-hom",
+            "--format", "json", "--class", MIXED_COH_P2xP2,
+        ],
+        "7ebd5e9a679c589bf9da1287c69635ad725ec96e2ee2f1e7ccf0e41d57e739aa",
+    ),
+    (
+        [
+            "dualize", "--theory", "multiplicative", "--space", "P2xP1", "--direction", "to-coh",
+            "--format", "json", "--class", MIXED_HOM_P2xP1,
+        ],
+        "d6a359282b2894649f6bc40b16cca198fc5cb2d6126cddfb219190c696592fb0",
+    ),
+    (
+        [
+            "pushforward", "--theory", "multiplicative", "--space", "P2xP1",
+            "--morphism", "proj(0,2);perm(1,0,2);diag(0)", "--format", "json",
+            "--class", MIXED_COH_P2xP1,
+        ],
+        "ec5534ce876d699b0a080c54478d03699f97eb28f1d72adc40e4327b9c14bfb7",
+    ),
+]
+
+GOLDEN_IDS = [
+    "verify-defaults",
+    "verify-cube",
+    "kernel-universal-P2xP2",
+    "fundamental-universal-P2xP3",
+    "dualize-to-hom-universal-P2xP2",
+    "dualize-to-coh-multiplicative-P2xP1",
+    "pushforward-multiplicative-P2xP1",
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=GOLDEN_IDS)
+def test_golden_stdout(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv("ORIENT_DUALITY_THREADS", raising=False)
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

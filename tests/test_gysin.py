@@ -4,15 +4,20 @@ import pytest
 import sympy
 
 from orient_duality.errors import RingMismatchError, SpaceMismatchError
-from orient_duality.fgl import additive_law, multiplicative_law, universal_law
+from orient_duality.fgl import (
+    additive_law,
+    multiplicative_law,
+    universal_law,
+    with_flipped_coefficient,
+)
 from orient_duality.gysin import (
-    diag_coefficients,
     diagonal_kernel_class,
     diamond_coh,
     kernel,
     kernel_transposed_invariant,
     pushforward_coh,
 )
+from orient_duality.homodual import fundamental_class
 from orient_duality.spaces import (
     CohClass,
     Diagonal,
@@ -43,7 +48,7 @@ def laws():
 
 def test_c_matrix_additive_antidiagonal(laws):
     law = laws["additive"]
-    C = diag_coefficients(law, 2)
+    C = kernel(law, 2).C
     one, zero = law.ring.one(), law.ring.zero()
     assert C == ((zero, zero, one), (zero, one, zero), (one, zero, zero))
 
@@ -51,7 +56,7 @@ def test_c_matrix_additive_antidiagonal(laws):
 def test_c_matrix_multiplicative_frozen(laws):
     law = laws["multiplicative"]
     beta = law.ring.gen(0)
-    C = diag_coefficients(law, 2)
+    C = kernel(law, 2).C
     z = law.ring.zero()
     assert C == ((z, z, law.ring.one()), (z, law.ring.one(), -beta), (law.ring.one(), -beta, z))
 
@@ -59,7 +64,7 @@ def test_c_matrix_multiplicative_frozen(laws):
 def test_c_matrix_universal_frozen(laws):
     law = laws["universal"]
     b1 = law.ring.gen(0)
-    C = diag_coefficients(law, 1)
+    C = kernel(law, 1).C
     assert C == ((law.ring.zero(), law.ring.one()), (law.ring.one(), -2 * b1))
 
 
@@ -82,7 +87,7 @@ def test_c_inverts_m_both_sides(laws, kind, n):
 @pytest.mark.parametrize("kind", ["additive", "multiplicative", "universal"])
 def test_c_symmetric(laws, kind):
     law = laws[kind]
-    C = diag_coefficients(law, 4)
+    C = kernel(law, 4).C
     for i in range(5):
         for j in range(5):
             assert C[i][j] == C[j][i]
@@ -98,7 +103,7 @@ def test_c_entries_from_series_inverse(laws):
     inv = sympy.series(1 / sum(beta**d * x**d for d in range(N)), x, 0, 6).removeO()
     inv = sympy.expand(inv)
     n = 3
-    C = diag_coefficients(law, n)
+    C = kernel(law, n).C
     for i in range(n + 1):
         for j in range(n + 1):
             d = i + j - n
@@ -279,3 +284,39 @@ def test_kernel_rejects_bad_degree(laws):
 def test_kernel_cached(laws):
     law = laws["universal"]
     assert kernel(law, 2) is kernel(law, 2)
+
+
+def test_diagonal_class_cached(laws):
+    law = laws["universal"]
+    sq = Space((2, 1))
+    assert diagonal_kernel_class(sq, law) is diagonal_kernel_class(sq, law)
+    assert sq in law._diagonal_cache
+
+
+def test_mutant_caches_follow_their_flags():
+    # the diagonal class is built from kernels, the fundamental class from
+    # point classes: each cache is kept exactly when its source data is
+    law = multiplicative_law(6)
+    sq = Space((2, 2))
+    K = diagonal_kernel_class(sq, law)
+    X = fundamental_class(sq, law)
+    stale = with_flipped_coefficient(law, 1, 1)
+    assert diagonal_kernel_class(sq, stale) is K
+    assert fundamental_class(sq, stale) is X
+    only_kernels = with_flipped_coefficient(law, 1, 1, keep_log=False)
+    assert sq in only_kernels._diagonal_cache and sq not in only_kernels._fundamental_cache
+    only_log = with_flipped_coefficient(law, 1, 1, keep_kernels=False)
+    assert sq in only_log._fundamental_cache and sq not in only_log._diagonal_cache
+
+
+def test_fresh_mutant_rebuilds_diagonal_and_fundamental_classes():
+    law = multiplicative_law(6)
+    sq = Space((2, 2))
+    K = diagonal_kernel_class(sq, law)
+    X = fundamental_class(sq, law)
+    fresh = with_flipped_coefficient(law, 1, 1, keep_log=False, keep_kernels=False)
+    assert diagonal_kernel_class(sq, fresh) != K
+    assert fundamental_class(sq, fresh) != X
+    # and the original's caches are untouched by the mutant's fills
+    assert diagonal_kernel_class(sq, law) is K
+    assert fundamental_class(sq, law) is X
