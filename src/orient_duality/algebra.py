@@ -8,19 +8,44 @@ A coefficient ring is described by its kind plus a truncation bound N >= 1:
 * ``universal``      -- rational polynomials in ``b1 .. b{N-1}`` with
   ``deg(bm) = -m``; products drop monomials of degree below ``-N``.
 
-Elements are stored in canonical form: a finite map from exponent tuples to
-nonzero coefficients, with integers preferred over equal rationals.  Two
-elements are equal iff their descriptors and term maps are equal, so ``==``
-is exact mathematical equality.  The grading is concentrated in degrees
-<= 0 and multiplication adds degrees, which makes the truncated product
-associative: a dropped intermediate monomial could only have produced
-dropped monomials later on.
+The grading is concentrated in degrees <= 0 and multiplication adds
+degrees, which makes the truncated product associative: a dropped
+intermediate monomial could only have produced dropped monomials later on.
+
+Packed monomials (after Monagan and Pearce's packed exponent vectors).  An
+element stores each monomial as one integer key, in a layout its ring
+fixes once, at construction:
+
+* universal: with radix R = 2N + 1 and n = N - 1 symbols, the monomial
+  b1^e1 ... bn^en of weight w = -degree = e1 + 2*e2 + ... + n*en has key
+  e1 + e2*R + ... + en*R^(n-1) + w*R^n, the weight in the top digit.
+  A monomial that survives truncation has w <= N, so each exponent is at
+  most N and each lower digit of the sum of two keys is at most 2N < R.
+  The product of two monomials is therefore the sum of their keys, with
+  no carry, and the product survives iff that sum is below (N + 1)*R^n:
+  one integer add and one compare per pair of terms.
+* multiplicative: the key is the exponent of ``beta``; nothing is dropped.
+* additive: the only monomial is 1, with key 0.
+
+The constant monomial has key 0 in every layout.
+
+Elements are in canonical form: nonzero coefficients, with an int wherever
+a Fraction equals one.  Each operation builds one fresh key map and
+canonicalises it once, then wraps it without a second pass: products
+clean their whole map, sums clean only the coefficients they change
+(both operands are already canonical), and negation keeps canonical
+coefficients canonical.  Only the public constructor ``RingElem(ring,
+{exponent tuple: coefficient})`` packs tuples; it is the cold path used
+by parsing and a few samplers.  Two elements are equal iff their
+descriptors and key maps are equal, so ``==`` is exact mathematical
+equality.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import ParseError, RingMismatchError
 
@@ -38,31 +63,50 @@ class RingKind(Enum):
         raise ParseError("unknown theory %r (expected additive, multiplicative or universal)" % name)
 
 
-def _canon_coeff(c):
-    # Canonical form prefers int over an equal Fraction.
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 @dataclass(frozen=True)
 class CoeffRing:
-    """Descriptor of a graded coefficient ring.
+    """Descriptor of a graded coefficient ring and its monomial key layout.
 
     ``symbols[i]`` has degree ``symbol_degrees[i]`` (always negative).
-    Descriptors compare structurally; operations require equal descriptors.
+    Descriptors compare structurally; operations require equal descriptors,
+    and equal descriptors have the same layout.  The layout (see the module
+    docstring) is computed once, in ``__post_init__``:
+
+    * ``_radix``: R = 2N + 1 in the universal ring, else None (keys are
+      exponents there);
+    * ``_top``: the place value of the weight digit (R^n; 1 elsewhere, where
+      the key is its own weight), so a key's degree is ``-(key // _top)``;
+    * ``_limit``: (N + 1)*R^n, the smallest key dropped by truncation, or
+      None where nothing is truncated.
     """
 
     kind: RingKind
     truncation: int
     symbols: tuple[str, ...]
     symbol_degrees: tuple[int, ...]
+    _radix: int | None = field(init=False, repr=False, compare=False)
+    _top: int = field(init=False, repr=False, compare=False)
+    _limit: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.truncation < 1:
             raise ValueError("truncation bound must be >= 1")
         if len(self.symbols) != len(self.symbol_degrees):
             raise ValueError("symbol table is inconsistent")
+        if any(d >= 0 for d in self.symbol_degrees):
+            raise ValueError("symbol degrees must be negative")
+        if self.kind is RingKind.UNIVERSAL:
+            radix = 2 * self.truncation + 1
+            top = radix ** len(self.symbols)
+            limit = (self.truncation + 1) * top
+        elif self.symbol_degrees in ((), (-1,)):
+            radix = limit = None
+            top = 1
+        else:
+            raise ValueError("an untruncated ring has at most one symbol, of degree -1")
+        object.__setattr__(self, "_radix", radix)
+        object.__setattr__(self, "_top", top)
+        object.__setattr__(self, "_limit", limit)
 
     @staticmethod
     def additive(truncation: int) -> "CoeffRing":
@@ -97,19 +141,41 @@ class CoeffRing:
     def monomial_degree(self, expo: tuple[int, ...]) -> int:
         return sum(e * d for e, d in zip(expo, self.symbol_degrees))
 
+    # -- packed keys ---------------------------------------------------
+
+    def _pack(self, expo: tuple[int, ...]):
+        """The key of an exponent tuple, or None if truncation drops it."""
+        weight = -self.monomial_degree(expo)
+        if self._limit is not None and weight > self.truncation:
+            return None
+        if len(expo) != len(self.symbols) or any(e < 0 for e in expo):
+            raise ValueError("exponent tuple %r does not fit the symbols %r" % (expo, self.symbols))
+        if self._limit is None:
+            return weight
+        key = weight
+        for e in reversed(expo):
+            key = key * self._radix + e
+        return key
+
+    def _unpack(self, key: int) -> tuple[int, ...]:
+        if self._radix is None:
+            return (key,) * len(self.symbols)
+        expo = []
+        for _ in self.symbols:
+            key, e = divmod(key, self._radix)
+            expo.append(e)
+        return tuple(expo)
+
     # -- element constructors ------------------------------------------
 
     def zero(self) -> "RingElem":
-        return RingElem(self, {})
+        return _wrap(self, {})
 
     def one(self) -> "RingElem":
-        return self.from_coeff(1)
+        return _wrap(self, {0: 1})
 
     def from_coeff(self, c) -> "RingElem":
-        c = _canon_coeff(c)
-        if not c:
-            return RingElem(self, {})
-        return RingElem(self, {(0,) * self.nsymbols: c})
+        return _wrap(self, _canonical({0: c}))
 
     def gen(self, index: int) -> "RingElem":
         """The ``index``-th symbol as a ring element."""
@@ -125,106 +191,162 @@ class CoeffRing:
         return _parse_elem(self, text)
 
 
+def _canonical(terms: dict) -> dict:
+    """``terms`` without zero coefficients, with Fractions of denominator 1
+    turned into ints."""
+    out = {}
+    for k, c in terms.items():
+        if c:
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
+            out[k] = c
+    return out
+
+
+def _wrap(ring: CoeffRing, packed: dict) -> "RingElem":
+    """An element over an already canonical key map, skipping ``__init__``."""
+    elem = object.__new__(RingElem)
+    elem.ring = ring
+    elem._t = packed
+    return elem
+
+
 class RingElem:
     """A graded ring element in canonical sparse form.
 
-    ``terms`` maps exponent tuples (one slot per ring symbol) to nonzero
-    int or Fraction coefficients.  Instances are immutable by convention;
-    all operations return new elements.
+    ``_t`` maps packed monomial keys (see the module docstring) to nonzero
+    int or Fraction coefficients.  ``RingElem(ring, terms)`` takes exponent
+    tuples (one slot per ring symbol), canonicalises the coefficients and
+    drops monomials that truncation identifies with zero; ``terms`` reads
+    them back as a tuple-keyed view for rendering and tests.  Instances are
+    immutable by convention; all operations return new elements.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "_t")
 
     def __init__(self, ring: CoeffRing, terms: dict):
-        clean = {}
         # In the universal ring, monomials below degree -truncation are
         # identified with zero; dropping them here (not only in products)
         # keeps every construction path in the same quotient.
-        drop = ring.kind is RingKind.UNIVERSAL
-        bound = -ring.truncation
+        packed = {}
         for expo, c in terms.items():
-            c = _canon_coeff(c)
-            if not c:
-                continue
-            if drop and ring.monomial_degree(expo) < bound:
-                continue
-            clean[expo] = c
+            if c:
+                key = ring._pack(expo)
+                if key is not None:
+                    packed[key] = c
         self.ring = ring
-        self.terms = clean
+        self._t = _canonical(packed)
+
+    @property
+    def terms(self):
+        """Read-only view: exponent tuple -> nonzero coefficient."""
+        unpack = self.ring._unpack
+        return MappingProxyType({unpack(k): c for k, c in self._t.items()})
 
     # -- queries -------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._t)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElem):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (self.ring is other.ring or self.ring == other.ring) and self._t == other._t
 
     __hash__ = None
 
     def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.terms.values())
+        return all(isinstance(c, int) for c in self._t.values())
 
     def degrees(self) -> set[int]:
         """The set of degrees in which the element has a nonzero part."""
-        return {self.ring.monomial_degree(e) for e in self.terms}
+        top = self.ring._top
+        return {-(k // top) for k in self._t}
 
     def constant_coeff(self):
-        return self.terms.get((0,) * self.ring.nsymbols, 0)
+        return self._t.get(0, 0)
 
     # -- arithmetic ----------------------------------------------------
 
     def _check_ring(self, other: "RingElem"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError("elements of different coefficient rings")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.from_coeff(other)
         if not isinstance(other, RingElem):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.ring.from_coeff(other)
         self._check_ring(other)
-        terms = dict(self.terms)
-        for expo, c in other.terms.items():
-            terms[expo] = terms.get(expo, 0) + c
-        return RingElem(self.ring, terms)
+        big, small = self._t, other._t
+        if len(big) < len(small):
+            big, small = small, big
+        terms = dict(big)
+        get = terms.get
+        for k, c in small.items():
+            prev = get(k)
+            if prev is None:
+                terms[k] = c
+                continue
+            c = prev + c
+            if not c:
+                del terms[k]
+            elif type(c) is Fraction and c.denominator == 1:
+                terms[k] = c.numerator
+            else:
+                terms[k] = c
+        return _wrap(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElem(self.ring, {e: -c for e, c in self.terms.items()})
+        return _wrap(self.ring, {k: -c for k, c in self._t.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.from_coeff(other)
         if not isinstance(other, RingElem):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.ring.from_coeff(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RingElem):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if not other:
                 return self.ring.zero()
-            return RingElem(self.ring, {e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, RingElem):
-            return NotImplemented
+            return _wrap(self.ring, _canonical({k: c * other for k, c in self._t.items()}))
         self._check_ring(other)
         ring = self.ring
-        truncate = ring.kind is RingKind.UNIVERSAL
-        bound = -ring.truncation
+        limit = ring._limit
+        left, right = self._t, other._t
         terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                if truncate and ring.monomial_degree(expo) < bound:
-                    continue
-                terms[expo] = terms.get(expo, 0) + c1 * c2
-        return RingElem(ring, terms)
+        if limit is None:
+            for k1, c1 in left.items():
+                for k2, c2 in right.items():
+                    k = k1 + k2
+                    if k in terms:
+                        terms[k] += c1 * c2
+                    else:
+                        terms[k] = c1 * c2
+        else:
+            # Ascending keys let the inner loop stop at the first pair that
+            # truncation drops.
+            right = sorted(right.items())
+            for k1, c1 in left.items():
+                room = limit - k1
+                for k2, c2 in right:
+                    if k2 >= room:
+                        break
+                    k = k1 + k2
+                    if k in terms:
+                        terms[k] += c1 * c2
+                    else:
+                        terms[k] = c1 * c2
+        return _wrap(ring, _canonical(terms))
 
     __rmul__ = __mul__
 
@@ -243,7 +365,7 @@ class RingElem:
 
     def render(self) -> str:
         """Deterministic text form; ``CoeffRing.parse`` round-trips it."""
-        if not self.terms:
+        if not self._t:
             return "0"
         parts = []
         for expo, c in self._sorted_terms():

@@ -26,10 +26,6 @@ class TruncationUnsoundError(CalculatorError):
     """
 
 
-class UnsupportedConfigurationError(CalculatorError):
-    """A ring/arithmetic combination that the calculator refuses to build."""
-
-
 class InternalConsistencyError(CalculatorError):
     """A derived quantity failed its defining identity.
 

@@ -584,7 +584,8 @@ def check_axioms(F: FGL) -> str | None:
 
 def with_flipped_coefficient(F: FGL, i: int, j: int, *, keep_log: bool = True, keep_kernels: bool = True) -> FGL:
     """A copy of ``F`` with the sign of a(i,j) flipped, optionally keeping
-    derived caches from the original.  The formal inverse and the
+    derived caches from the original.  Kept caches are copied, so nothing
+    the copy computes later reaches the original.  The formal inverse and the
     m-series derive from the table, so they are never kept.  Fundamental
     classes are kept with the logarithm (they are products of point
     classes), diagonal classes with the kernels they are built from.
@@ -605,6 +606,6 @@ def with_flipped_coefficient(F: FGL, i: int, j: int, *, keep_log: bool = True, k
         mutated._pn = dict(F._pn)
         mutated._fundamental_cache = dict(F._fundamental_cache)
     if keep_kernels:
-        mutated._kernel_cache = F._kernel_cache
+        mutated._kernel_cache = dict(F._kernel_cache)
         mutated._diagonal_cache = dict(F._diagonal_cache)
     return mutated

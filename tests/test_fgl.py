@@ -343,6 +343,20 @@ def test_mutant_m_series_recomputed_from_own_table():
     assert fresh._log is None and fresh._exp is None
 
 
+def test_mutant_kernels_do_not_leak_into_original():
+    # keep_kernels copies the kernel cache: a kernel the mutant builds
+    # later must not land in the original law
+    from orient_duality.gysin import kernel
+
+    law = multiplicative_law(6)
+    kernel(law, 1)
+    mut = with_flipped_coefficient(law, 1, 1, keep_log=False)
+    assert kernel(mut, 1) is kernel(law, 1)
+    kernel(mut, 3)
+    assert 3 not in law._kernel_cache
+    assert kernel(law, 3).K == kernel(multiplicative_law(6), 3).K
+
+
 def test_inverse_recursion_runs_once_per_law_on_grid(monkeypatch):
     import orient_duality.fgl as fgl_mod
     from orient_duality.verify import CheckConfig, run_suite

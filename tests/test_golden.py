@@ -3,7 +3,8 @@
 The digests pin the exact bytes the calculator prints, so a change that
 only means to make it faster cannot alter an answer unnoticed.  Most
 commands print class values; the two ``verify`` runs pin the report
-format and the witnesses' absence.  A deliberate change of output must
+format and the witnesses' absence; the two ``ring --parse`` runs pin the
+term order of rendered ring elements.  A deliberate change of output must
 update the digest here and say why.
 """
 
@@ -21,6 +22,15 @@ MIXED_HOM_P2xP1 = (
     '{"values": [{"zeta": [0, 0], "coeff": "beta^3"}, {"zeta": [1, 1], "coeff": "-4"}, '
     '{"zeta": [2, 0], "coeff": "2*beta"}, {"zeta": [2, 1], "coeff": "7"}]}'
 )
+# Term order of a rendered element: several symbols, fractions (4/2 is
+# the integer 2), a monomial of weight exactly 9 kept, one of weight 10
+# dropped, and b1 - b1 cancelled.
+UNIVERSAL_ELEM = (
+    "b8 - 7/3 + 1/2*b1*b3 - 3/4*b2^2 + 2/3*b1^4*b5 + b4*b4 - 5/6*b1^9 + b2*b7 "
+    "+ 4/2*b3*b1^2*b2 - b1^10 + 3*b1^2*b2^2*b3 - 1/5*b1*b2*b3 + b6*b1^3 + b1 - b1 + 9/7*b5*b4"
+)
+# beta powers far above the truncation, which does not apply to beta
+MULTIPLICATIVE_ELEM = "beta^40 - 3*beta^17 + 2 - beta + 5*beta^3 + 4*beta^25 - beta^40 + beta^41 + 7*beta^2*beta^9"
 MIXED_COH_P2xP1 = (
     '{"terms": [{"zeta": [0, 0], "coeff": "1"}, {"zeta": [1, 0], "coeff": "-3*beta"}, '
     '{"zeta": [2, 1], "coeff": "2"}, {"zeta": [1, 1], "coeff": "beta^2"}]}'
@@ -68,6 +78,14 @@ GOLDEN = [
         ],
         "ec5534ce876d699b0a080c54478d03699f97eb28f1d72adc40e4327b9c14bfb7",
     ),
+    (
+        ["ring", "--theory", "universal", "--truncation", "9", "--parse", UNIVERSAL_ELEM],
+        "1b5851c92fa856b1d42eba0c03bc4f5fc1a7a5d3353c959b2a6ef8691cf70118",
+    ),
+    (
+        ["ring", "--theory", "multiplicative", "--truncation", "4", "--parse", MULTIPLICATIVE_ELEM],
+        "b2d10782ffa48bc381d9240dbda60106f2d73de569ed042a87795c8889cb2573",
+    ),
 ]
 
 GOLDEN_IDS = [
@@ -78,6 +96,8 @@ GOLDEN_IDS = [
     "dualize-to-hom-universal-P2xP2",
     "dualize-to-coh-multiplicative-P2xP1",
     "pushforward-multiplicative-P2xP1",
+    "ring-parse-universal-9",
+    "ring-parse-multiplicative-beta41",
 ]
 
 

@@ -1,9 +1,11 @@
 """The product kernels against their defining formulas.
 
-``CohClass.__mul__``, ``cap``, ``pushforward_hom`` and ``shriek_hom``
-compute by packed exponent keys and per-shape transpose formulas.  The
-oracles below are their definitions, evaluated the slow way:
+``RingElem`` arithmetic, ``CohClass.__mul__``, ``cap``, ``pushforward_hom``
+and ``shriek_hom`` compute by packed exponent keys and per-shape transpose
+formulas.  The oracles below are their definitions, evaluated the slow way:
 
+* ring sums and products loop over exponent tuples, truncate by summing
+  each monomial's degree and canonicalise term by term;
 * cup and cap loop over pairs of exponent tuples;
 * (f_* a)(z^e) = a(f^* z^e) for every basis monomial of the target;
 * (f^! a)(z^e) = <f_!(z^e), a> for every basis monomial of the source.
@@ -14,10 +16,13 @@ on seeded random classes, including spaces with a P0 factor and the point.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orient_duality.algebra import RingKind
+from orient_duality.algebra import CoeffRing, RingElem, RingKind
 from orient_duality.errors import RingMismatchError
 from orient_duality.fgl import law_for
 from orient_duality.gysin import pushforward_coh
@@ -47,6 +52,43 @@ def laws():
 
 
 # -- the oracles ----------------------------------------------------------------
+
+
+def tuple_canon(ring: CoeffRing, terms: dict) -> dict:
+    """Canonical tuple-keyed terms: nonzero, int over an equal Fraction,
+    universal monomials below degree -N dropped."""
+    out = {}
+    for expo, c in terms.items():
+        if isinstance(c, Fraction) and c.denominator == 1:
+            c = int(c)
+        if not c:
+            continue
+        if ring.kind is RingKind.UNIVERSAL and ring.monomial_degree(expo) < -ring.truncation:
+            continue
+        out[expo] = c
+    return out
+
+
+def tuple_add(x: RingElem, y: RingElem) -> dict:
+    terms = dict(x.terms)
+    for expo, c in y.terms.items():
+        terms[expo] = terms.get(expo, 0) + c
+    return tuple_canon(x.ring, terms)
+
+
+def tuple_mul(x: RingElem, y: RingElem) -> dict:
+    terms: dict = {}
+    for e1, c1 in x.terms.items():
+        for e2, c2 in y.terms.items():
+            expo = tuple(a + b for a, b in zip(e1, e2))
+            terms[expo] = terms.get(expo, 0) + c1 * c2
+    return tuple_canon(x.ring, terms)
+
+
+def typed(terms) -> dict:
+    """Terms with each coefficient's type, so that 2 and Fraction(2) differ."""
+    return {e: (type(c), c) for e, c in terms.items()}
+
 
 
 def naive_cup(x: CohClass, y: CohClass) -> CohClass:
@@ -194,3 +236,77 @@ def test_shriek_hom_checks_the_ring(laws):
     a = HomClass.point_class(laws[RingKind.ADDITIVE].ring)
     with pytest.raises(RingMismatchError):
         shriek_hom(p, a, laws[RingKind.MULTIPLICATIVE])
+
+
+# -- ring arithmetic against the tuple-keyed definitions -------------------------
+
+# Fraction(4, 2) is a Fraction equal to 2; halves cancel or sum to integers.
+COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([Fraction(4, 2), Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-2, 3)]),
+)
+PACKED_RINGS = (
+    [CoeffRing.additive(4), CoeffRing.multiplicative(2), CoeffRing.multiplicative(5)]
+    + [CoeffRing.universal(n) for n in (2, 5, 10)]
+)
+
+
+@st.composite
+def monomials(draw, ring: CoeffRing):
+    """Exponent tuples; universal weights cluster at N and N + 1, beta
+    powers run past 2N + 1."""
+    n = ring.nsymbols
+    if ring.kind is not RingKind.UNIVERSAL:
+        return (draw(st.integers(0, 5 * ring.truncation + 3)),) * n
+    N = ring.truncation
+    weight = draw(st.one_of(st.sampled_from([N - 1, N, N + 1]), st.integers(0, N + 1)))
+    expo = [0] * n
+    while weight:
+        m = draw(st.integers(1, min(weight, n)))
+        expo[m - 1] += 1
+        weight -= m
+    return tuple(expo)
+
+
+def raw_terms(ring: CoeffRing):
+    return st.dictionaries(monomials(ring), COEFFS, max_size=6)
+
+
+@pytest.mark.parametrize("ring", PACKED_RINGS, ids=lambda r: "%s-%d" % (r.kind.value, r.truncation))
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_ring_arithmetic_matches_tuple_oracle(ring, data):
+    dx = data.draw(raw_terms(ring))
+    dy = data.draw(raw_terms(ring))
+    # y repeats some of x's terms negated, so that sums cancel to zero
+    for expo in data.draw(st.lists(st.sampled_from(sorted(dx)), max_size=3)) if dx else ():
+        dy[expo] = -dx[expo]
+    x, y = RingElem(ring, dx), RingElem(ring, dy)
+    assert typed(x.terms) == typed(tuple_canon(ring, dx))
+    assert typed((x + y).terms) == typed(tuple_add(x, y))
+    assert typed((x * y).terms) == typed(tuple_mul(x, y))
+    assert typed((x * x).terms) == typed(tuple_mul(x, x))
+    assert typed((-x).terms) == typed(tuple_canon(ring, {e: -c for e, c in x.terms.items()}))
+    scale = data.draw(COEFFS)
+    assert typed((x * scale).terms) == typed(tuple_canon(ring, {e: c * scale for e, c in x.terms.items()}))
+    assert not (x - x) and not (x + (-x)).terms
+    assert (x * y == y * x) and (x + y) - y == x
+    assert x.degrees() == {ring.monomial_degree(e) for e in x.terms}
+    assert x.constant_coeff() == x.terms.get((0,) * ring.nsymbols, 0)
+
+
+@pytest.mark.parametrize("N", (2, 5, 10))
+def test_universal_truncation_boundary(N):
+    ring = CoeffRing.universal(N)
+    b1, top = ring.gen(0), ring.gen(N - 2)
+    # weight N survives, weight N + 1 is dropped, in products and constructors
+    expo = [0] * (N - 1)
+    expo[0] += 1
+    expo[N - 2] += 1
+    assert typed((top * b1).terms) == {tuple(expo): (int, 1)}
+    assert not top * b1 * b1
+    assert (b1 ** N).terms == {(N,) + (0,) * (N - 2): 1}
+    assert not b1 ** (N + 1)
+    assert not RingElem(ring, {(N + 1,) + (0,) * (N - 2): 1})
+    half = b1 ** N * Fraction(1, 2)
+    assert typed((half + half).terms) == {(N,) + (0,) * (N - 2): (int, 1)}
