@@ -145,11 +145,11 @@ class CoeffRing:
 
     def _pack(self, expo: tuple[int, ...]):
         """The key of an exponent tuple, or None if truncation drops it."""
+        if len(expo) != len(self.symbols) or any(e < 0 for e in expo):
+            raise ValueError("exponent tuple %r does not fit the symbols %r" % (expo, self.symbols))
         weight = -self.monomial_degree(expo)
         if self._limit is not None and weight > self.truncation:
             return None
-        if len(expo) != len(self.symbols) or any(e < 0 for e in expo):
-            raise ValueError("exponent tuple %r does not fit the symbols %r" % (expo, self.symbols))
         if self._limit is None:
             return weight
         key = weight

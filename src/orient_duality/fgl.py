@@ -13,10 +13,11 @@ bivariate and trivariate scratch polynomials used for construction and
 axiom checking are truncated above total degree N as well.  Every stored
 coefficient is exact.
 
-The logarithm of a law is solved degree by degree from the linear-in-y
-slot of log(F(x, y)) = log(x) + log(y) and then checked against the full
-identity; a table of coefficients that does not come from an actual group
-law fails that check loudly instead of producing plausible garbage.
+The logarithm of a law is solved degree by degree from the invariant
+differential, the linear-in-y slot of log(F(x, y)) = log(x) + log(y), and
+then checked against the full identity; a table of coefficients that does
+not come from an actual group law fails that check loudly instead of
+producing plausible garbage.
 
 ``pn_class(F, n)`` is the direct image of 1 under the projection from
 n-dimensional projective space to the point, read off the logarithm:
@@ -128,16 +129,7 @@ class Series:
         self._check(inner)
         if inner.coeffs[0]:
             raise ValueError("inner series must have zero constant term")
-        out = Series.make(self.ring, self.trunc, [self.coeffs[0]])
-        power = Series.make(self.ring, self.trunc, [self.ring.one()])
-        for d in range(1, self.trunc + 1):
-            power = power * inner
-            if not power:
-                break
-            c = self.coeffs[d]
-            if c:
-                out = out + power * c
-        return out
+        return _power_sum(self, inner, Series.make(self.ring, self.trunc, [self.coeffs[0]]))
 
     def reversion(self) -> "Series":
         """Compositional inverse; requires zero constant term and linear
@@ -168,16 +160,25 @@ class Series:
         """
         if self.coeffs[0]:
             raise ValueError("eval_nilpotent expects zero constant term")
-        out = arg * self.coeffs[1]
-        power = arg
-        for d in range(2, self.trunc + 1):
-            power = power * arg
-            if not power:
-                break
-            c = self.coeffs[d]
-            if c:
-                out = out + power * c
-        return out
+        return _power_sum(self, arg, arg * 0)
+
+
+def _power_sum(s: Series, arg, out):
+    """out + sum(s[d] * arg^d, 1 <= d <= s.trunc), the one evaluation loop
+    behind ``compose``, ``eval_nilpotent`` and ``_series_on_nilpoly``.
+
+    It stops at the first power of ``arg`` that vanishes, so an argument
+    without constant term inside a truncated or nilpotent algebra costs no
+    product past its last nonzero power.
+    """
+    power = None
+    for c in s.coeffs[1:]:
+        power = arg if power is None else power * arg
+        if not power:
+            break
+        if c:
+            out = out + power * c
+    return out
 
 
 class NilPoly:
@@ -219,9 +220,6 @@ class NilPoly:
         return (self.ring, self.nvars, self.bound) == (other.ring, other.nvars, other.bound) and self.terms == other.terms
 
     __hash__ = None
-
-    def coeff(self, expo: tuple) -> RingElem:
-        return self.terms.get(expo, self.ring.zero())
 
     def __add__(self, other: "NilPoly") -> "NilPoly":
         terms = dict(self.terms)
@@ -306,11 +304,6 @@ class FGL:
       space X (filled by ``gysin.diagonal_kernel_class``);
     * ``_fundamental_cache``: the fundamental classes [X], keyed by X
       (filled by ``homodual.fundamental_class``).
-
-    The fills are idempotent: a value is computed completely before it is
-    stored, and two threads that race on one entry (for example under
-    ORIENT_DUALITY_THREADS) store equal values, so readers under the
-    interpreter lock never see a partial or inconsistent entry.
     """
 
     ring: CoeffRing
@@ -382,32 +375,28 @@ class FGL:
 
     # -- logarithm and point classes ------------------------------------
 
-    def _bivariate(self, bound: int) -> NilPoly:
-        x = NilPoly.gen(self.ring, 2, bound, 0)
-        y = NilPoly.gen(self.ring, 2, bound, 1)
-        return apply_law(self, x, y)
-
     def log(self) -> Series:
         """The logarithm: log(F(x, y)) = log(x) + log(y), log(x) = x + O(x^2).
 
-        Solved degree by degree from the linear-in-y coefficients, then
-        verified against the full identity (up to the probe bound for
-        laws with large symbolic coefficients).
+        Solved from the invariant differential: the linear-in-y part of the
+        identity is log'(x) * F_y(x, 0) = 1 with F_y(x, 0) = 1 + sum a(i,1) x^i,
+        so log'(x) = sum c_m x^m with c_0 = 1 and c_m = -sum a(i,1) c_(m-i)
+        over 1 <= i <= m.  The result is then verified against the full
+        identity (up to the probe bound for laws with large symbolic
+        coefficients).
         """
         if self._log is None:
-            n = self.truncation
-            f2 = self._bivariate(n)
-            powers = [None, f2]
-            for k in range(2, n + 1):
-                powers.append(powers[-1] * f2)
-            coeffs = [self.ring.zero(), self.ring.one()]
-            for m in range(1, n):
-                known = f2.coeff((m, 1))
-                for j in range(1, m):
-                    known = known + powers[j + 1].coeff((m, 1)) * coeffs[j + 1]
-                cm = known * Fraction(-1, m + 1)
-                coeffs.append(cm)
-            log = Series.make(self.ring, n, coeffs)
+            ring = self.ring
+            c = [ring.one()]
+            for m in range(1, self.truncation):
+                cm = ring.zero()
+                for i in range(1, m + 1):
+                    a = self.coeffs.get((i, 1))
+                    if a:
+                        cm = cm - a * c[m - i]
+                c.append(cm)
+            coeffs = [ring.zero()] + [cm * Fraction(1, m + 1) for m, cm in enumerate(c)]
+            log = Series.make(ring, self.truncation, coeffs)
             self._validate_log(log)
             self._log = log
         return self._log
@@ -416,11 +405,10 @@ class FGL:
         bound = self.truncation
         if self.ring.kind is RingKind.UNIVERSAL:
             bound = min(bound, _AXIOM_PROBE_BOUND)
-        f2 = self._bivariate(bound)
-        lx = NilPoly.from_series(log, 2, bound, 0)
-        ly = NilPoly.from_series(log, 2, bound, 1)
-        lhs = _series_on_nilpoly(log, f2)
-        if lhs != lx + ly:
+        x = NilPoly.gen(self.ring, 2, bound, 0)
+        y = NilPoly.gen(self.ring, 2, bound, 1)
+        lhs = _series_on_nilpoly(log, apply_law(self, x, y))
+        if lhs != NilPoly.from_series(log, 2, bound, 0) + NilPoly.from_series(log, 2, bound, 1):
             raise InternalConsistencyError(
                 "coefficient table admits no logarithm: log(F(x,y)) != log(x) + log(y)"
             )
@@ -466,18 +454,9 @@ def _solve_inverse(F: FGL) -> Series:
 
 
 def _series_on_nilpoly(s: Series, arg: NilPoly) -> NilPoly:
-    out = NilPoly(arg.ring, arg.nvars, arg.bound, {})
-    power = NilPoly(arg.ring, arg.nvars, arg.bound, {(0,) * arg.nvars: arg.ring.one()})
-    for d in range(1, min(s.trunc, arg.bound) + 1):
-        power = power * arg
-        if not power:
-            break
-        c = s[d]
-        if c:
-            out = out + power * c
     if s[0]:
         raise ValueError("expected zero constant term")
-    return out
+    return _power_sum(s, arg, NilPoly(arg.ring, arg.nvars, arg.bound, {}))
 
 
 # -- built-in laws --------------------------------------------------------
@@ -581,31 +560,3 @@ def check_axioms(F: FGL) -> str | None:
     F._axioms_ok = True
     return None
 
-
-def with_flipped_coefficient(F: FGL, i: int, j: int, *, keep_log: bool = True, keep_kernels: bool = True) -> FGL:
-    """A copy of ``F`` with the sign of a(i,j) flipped, optionally keeping
-    derived caches from the original.  Kept caches are copied, so nothing
-    the copy computes later reaches the original.  The formal inverse and the
-    m-series derive from the table, so they are never kept.  Fundamental
-    classes are kept with the logarithm (they are products of point
-    classes), diagonal classes with the kernels they are built from.
-
-    This is a fault-injection harness for the verification suite: a
-    consistent recomputation of a flipped *symmetric pair* can produce an
-    isomorphic theory, so the interesting failures come from stale caches
-    (kept logarithm or kernels) or from asymmetric tables, which the
-    logarithm validation rejects.  Not for production use.
-    """
-    coeffs = dict(F.coeffs)
-    old = coeffs.get((i, j), F.ring.zero())
-    coeffs[(i, j)] = -old
-    mutated = FGL(F.ring, F.truncation, coeffs)
-    if keep_log:
-        mutated._log = F._log
-        mutated._exp = F._exp
-        mutated._pn = dict(F._pn)
-        mutated._fundamental_cache = dict(F._fundamental_cache)
-    if keep_kernels:
-        mutated._kernel_cache = dict(F._kernel_cache)
-        mutated._diagonal_cache = dict(F._diagonal_cache)
-    return mutated

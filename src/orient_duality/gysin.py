@@ -22,8 +22,7 @@ which pins C as the inverse of the pairing matrix M with M[k][l] =
 g_(n-k-l) (anti-triangular with unit anti-diagonal, hence invertible over
 any coefficient ring by back substitution, no division needed).  The
 kernels of P^n and the diagonal classes of product spaces are memoised on
-the law object: the caches are read-mostly and fills are idempotent, so
-concurrent readers are safe.
+the law object.
 
 The homological transposes f_* and f^! (``homodual``) use the same
 per-shape data: the point classes for projections and ``placed_kernel``
@@ -45,7 +44,6 @@ from .spaces import (
     Projection,
     Space,
     cross_coh,
-    transposition,
 )
 
 
@@ -190,9 +188,3 @@ def diagonal_kernel_class(space: Space, law: FGL) -> CohClass:
         cached = Permutation(space.times(space), sigma).pullback(blocks)
         law._diagonal_cache[space] = cached
     return cached
-
-
-def kernel_transposed_invariant(space: Space, law: FGL) -> bool:
-    """K is symmetric under swapping the two copies."""
-    K = diagonal_kernel_class(space, law)
-    return transposition(space).pullback(K) == K

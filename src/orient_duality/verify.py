@@ -4,8 +4,7 @@ Every check asserts an exact polynomial identity; there are no tolerances.
 A check either passes or returns a witness: the offending inputs plus both
 sides, rendered.  Sampling is deterministic: each (check, theory, space)
 cell derives its own generator from the configured seed, so reports are
-byte-identical across runs and independent of execution order or thread
-count (set ORIENT_DUALITY_THREADS to parallelise across cells).
+byte-identical across runs and independent of execution order.
 
 Checks
 ------
@@ -29,13 +28,11 @@ V16 slant/cap/cross calculus and functoriality
 
 import hashlib
 import json
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import CoeffRing, RingKind
+from .algebra import CoeffRing, RingElem, RingKind
 from .errors import CalculatorError, TruncationUnsoundError
 from .fgl import FGL, apply_law, check_axioms, law_for
 from .gysin import (
@@ -77,8 +74,6 @@ from .spaces import (
     product_morphism,
     transposition,
 )
-
-THREADS_ENV = "ORIENT_DUALITY_THREADS"
 
 
 @dataclass(frozen=True)
@@ -138,8 +133,6 @@ def _sample_coeff(ring: CoeffRing, rng: random.Random):
         power = rng.randint(1, 2)
         scale = rng.randint(-2, 2)
         expo = tuple(power if i == idx else 0 for i in range(ring.nsymbols))
-        from .algebra import RingElem
-
         c = c + RingElem(ring, {expo: scale})
     if ring.allows_fractions and rng.random() < 0.25:
         c = c + ring.from_coeff(Fraction(rng.randint(-2, 2), rng.randint(2, 3)))
@@ -709,21 +702,6 @@ CHECKS: tuple = (
 CHECK_IDS = tuple(cid for cid, _ in CHECKS)
 
 
-def _thread_count() -> int:
-    """The pool size from ORIENT_DUALITY_THREADS: unset or empty means 1;
-    anything but a positive integer is refused."""
-    raw = os.environ.get(THREADS_ENV)
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError("%s=%r is not a positive integer" % (THREADS_ENV, raw))
-    return n
-
-
 def run_suite(cfg: CheckConfig, laws: dict | None = None, checks=None) -> list[CheckReport]:
     """Run the configured checks; returns one report per (check, theory,
     space) in a deterministic order.
@@ -732,7 +710,6 @@ def run_suite(cfg: CheckConfig, laws: dict | None = None, checks=None) -> list[C
     injection hook used by the meta-tests); ``checks`` restricts to a
     subset of check ids.
     """
-    nthreads = _thread_count()
     selected = [(cid, fn) for cid, fn in CHECKS if checks is None or cid in set(checks)]
     if checks is not None and len(selected) != len(set(checks)):
         unknown = set(checks) - {cid for cid, _ in CHECKS}
@@ -744,29 +721,19 @@ def run_suite(cfg: CheckConfig, laws: dict | None = None, checks=None) -> list[C
         else:
             built[kind] = law_for(kind, cfg.truncation)
 
-    tasks = []
+    reports = []
     for cid, fn in selected:
         for kind in cfg.theories:
             for space in cfg.spaces:
-                tasks.append((cid, fn, kind, space))
-
-    def run_one(task) -> CheckReport:
-        cid, fn, kind, space = task
-        law = built[kind]
-        rng = _derive_rng(cfg.seed, cid, kind.value, space.render())
-        ctx = _Ctx(kind, law, law.ring, space, rng, cfg.samples)
-        try:
-            witness = fn(ctx)
-        except CalculatorError as exc:
-            witness = {"error": "%s: %s" % (type(exc).__name__, exc)}
-        status = "pass" if witness is None else "fail"
-        return CheckReport(cid, kind.value, space.render(), status, witness)
-
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            reports = list(pool.map(run_one, tasks))
-    else:
-        reports = [run_one(t) for t in tasks]
+                law = built[kind]
+                rng = _derive_rng(cfg.seed, cid, kind.value, space.render())
+                ctx = _Ctx(kind, law, law.ring, space, rng, cfg.samples)
+                try:
+                    witness = fn(ctx)
+                except CalculatorError as exc:
+                    witness = {"error": "%s: %s" % (type(exc).__name__, exc)}
+                status = "pass" if witness is None else "fail"
+                reports.append(CheckReport(cid, kind.value, space.render(), status, witness))
     return reports
 
 

@@ -17,7 +17,6 @@ from orient_duality.fgl import (
     law_for,
     multiplicative_law,
     universal_law,
-    with_flipped_coefficient,
 )
 from orient_duality.gysin import kernel
 from orient_duality.homodual import (
@@ -28,6 +27,8 @@ from orient_duality.homodual import (
 )
 from orient_duality.spaces import CohClass, Space, basis, euler
 from orient_duality.verify import CheckConfig, reports_to_json, run_suite
+
+from law_mutants import with_flipped_coefficient
 
 GRID = tuple(Space.parse(s) for s in ("P1", "P2", "P3", "P1xP1", "P1xP2", "P2xP2"))
 ALL_KINDS = (RingKind.ADDITIVE, RingKind.MULTIPLICATIVE, RingKind.UNIVERSAL)

@@ -53,8 +53,13 @@ def test_universal_quotient_drops_deep_monomials():
     b1, b2 = ring.gen_named("b1"), ring.gen_named("b2")
     assert b1 * b2  # degree -3 survives
     # construction enforces the same quotient as multiplication
-    deep = RingElem(ring, {(0, 0, 2, 0): 1})
+    deep = RingElem(ring, {(0, 0, 2): 1})
     assert deep == ring.zero()
+    # the shape is checked before truncation: a malformed tuple is refused
+    # even where its weight alone would drop it
+    for bad in ((0, 0, 2, 0), (-1, 0, 2)):
+        with pytest.raises(ValueError):
+            RingElem(ring, {bad: 1})
 
 
 def test_monomial_degree():

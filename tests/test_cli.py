@@ -322,21 +322,3 @@ def test_exit_1_on_failing_check(capsys, monkeypatch):
     assert code == 1
     assert "0/1 checks passed" in out
 
-
-@pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
-def test_bad_thread_count_exits_2(capsys, monkeypatch, raw):
-    import threading
-
-    import orient_duality.verify as verify_mod
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
-
-    monkeypatch.setattr(verify_mod, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setenv("ORIENT_DUALITY_THREADS", raw)
-    before = threading.active_count()
-    code, out, err = _run(capsys, "verify", "--space", "P1")
-    assert code == 2
-    assert out == ""
-    assert "ORIENT_DUALITY_THREADS" in err and repr(raw) in err
-    assert threading.active_count() == before

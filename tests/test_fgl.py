@@ -17,9 +17,10 @@ from orient_duality.fgl import (
     law_for,
     multiplicative_law,
     universal_law,
-    with_flipped_coefficient,
 )
 from orient_duality.spaces import CohClass, Space
+
+from law_mutants import with_flipped_coefficient
 
 N = 6
 
@@ -369,7 +370,6 @@ def test_inverse_recursion_runs_once_per_law_on_grid(monkeypatch):
         return solve(F)
 
     monkeypatch.setattr(fgl_mod, "_solve_inverse", counting)
-    monkeypatch.delenv("ORIENT_DUALITY_THREADS", raising=False)
     spaces = tuple(Space.parse(s) for s in ("P1", "P2", "P3", "P1xP1", "P1xP2", "P2xP2"))
     cfg = CheckConfig(theories=(RingKind.UNIVERSAL,), spaces=spaces, truncation=7, seed=0, samples=4)
     reports = run_suite(cfg, checks=("V1-fgl-axioms", "V2-orientation"))
@@ -397,6 +397,14 @@ def test_log_validation_rejects_tampered_table():
     broken = FGL(ring, 5, coeffs)
     with pytest.raises(InternalConsistencyError):
         broken.log()
+
+
+def test_log_solved_from_universal_table():
+    # universal_law stores its construction logarithm; a fresh law over the
+    # same table must solve for exactly that series
+    for n in range(2, 11):
+        law = universal_law(n)
+        assert FGL(law.ring, n, dict(law.coeffs)).log() == law.log()
 
 
 def test_law_for_dispatch():
@@ -435,6 +443,8 @@ def test_series_compose_identity():
     x = Series.identity(ring, 6)
     assert s.compose(x) == s
     assert x.compose(s) == s
+    shifted = Series.make(ring, 6, [ring.from_coeff(3), ring.one(), beta])
+    assert shifted.compose(x) == shifted
 
 
 def test_eval_nilpotent_matches_direct_substitution():

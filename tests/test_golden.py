@@ -102,8 +102,7 @@ GOLDEN_IDS = [
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=GOLDEN_IDS)
-def test_golden_stdout(capsys, monkeypatch, argv, digest):
-    monkeypatch.delenv("ORIENT_DUALITY_THREADS", raising=False)
+def test_golden_stdout(capsys, argv, digest):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
