@@ -45,6 +45,7 @@ from .gysin import diagonal_kernel_class, pushforward_coh
 from .homodual import HomClass, duality_to_coh, duality_to_hom, fundamental_class
 from .spaces import (
     CohClass,
+    Composite,
     Diagonal,
     LinearEmbed,
     Morphism,
@@ -144,8 +145,6 @@ def _default_truncation(space: Space) -> int:
 
 
 def _chain_spaces(f: Morphism) -> list[Space]:
-    from .spaces import Composite
-
     if isinstance(f, Composite):
         return [p.source for p in f.parts] + [p.target for p in f.parts]
     return [f.source, f.target]

@@ -9,9 +9,11 @@ with i, j >= 1, i + j <= N and deg(a_ij) = 1 - i - j.  Three built-ins:
                    log(x) = x + b1*x^2 + ... + b{N-1}*x^N
 
 All series live in one formal variable truncated above degree N; the
-bivariate and trivariate scratch polynomials used for construction and
-axiom checking are truncated above total degree N as well.  Every stored
-coefficient is exact.
+bivariate and trivariate scratch polynomials (``NilPoly``) used for
+construction and axiom checking are truncated above total degree N as
+well.  ``NilPoly`` is a ``spaces.SparseClass`` on (P^N)^k, so it shares
+the sums and scaling of cohomology classes and keeps only its
+degree-pruned product.  Every stored coefficient is exact.
 
 The logarithm of a law is solved degree by degree from the invariant
 differential, the linear-in-y slot of log(F(x, y)) = log(x) + log(y), and
@@ -34,6 +36,7 @@ from .errors import (
     RingMismatchError,
     TruncationUnsoundError,
 )
+from .spaces import Space, SparseClass
 
 # Exact expansion of the axiom checks in many symbols is expensive in pure
 # Python, so laws whose coefficients are themselves large polynomials are
@@ -91,10 +94,6 @@ class Series:
     def __add__(self, other: "Series") -> "Series":
         self._check(other)
         return Series(self.ring, self.trunc, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Series") -> "Series":
-        self._check(other)
-        return Series(self.ring, self.trunc, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, RingElem)):
@@ -181,61 +180,38 @@ def _power_sum(s: Series, arg, out):
     return out
 
 
-class NilPoly:
-    """Scratch polynomial in a few nilpotent variables, truncated above a
-    total-degree bound.  Used to build laws and check their axioms."""
+class NilPoly(SparseClass):
+    """Scratch polynomial in ``nvars`` nilpotent variables, truncated above
+    total degree ``bound``: a class on (P^bound)^nvars whose constructor
+    drops every term of total degree above the bound.  Used to build laws
+    and check their axioms."""
 
-    __slots__ = ("ring", "nvars", "bound", "terms")
+    __slots__ = ()
 
-    def __init__(self, ring: CoeffRing, nvars: int, bound: int, terms: dict):
-        clean = {e: c for e, c in terms.items() if c and sum(e) <= bound}
-        self.ring = ring
-        self.nvars = nvars
-        self.bound = bound
-        self.terms = clean
+    def __init__(self, space: Space, ring: CoeffRing, terms: dict):
+        bound = space.factors[0]
+        super().__init__(space, ring, {e: c for e, c in terms.items() if c and sum(e) <= bound})
 
     @staticmethod
     def gen(ring: CoeffRing, nvars: int, bound: int, index: int) -> "NilPoly":
         expo = tuple(1 if i == index else 0 for i in range(nvars))
-        return NilPoly(ring, nvars, bound, {expo: ring.one()})
+        return NilPoly.monomial(Space((bound,) * nvars), ring, expo)
 
     @staticmethod
     def from_series(s: Series, nvars: int, bound: int, index: int) -> "NilPoly":
-        terms = {}
-        for d in range(1, min(s.trunc, bound) + 1):
-            c = s[d]
-            if c:
-                expo = tuple(d if i == index else 0 for i in range(nvars))
-                terms[expo] = c
-        if s[0]:
-            terms[(0,) * nvars] = s[0]
-        return NilPoly(s.ring, nvars, bound, terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, NilPoly):
-            return NotImplemented
-        return (self.ring, self.nvars, self.bound) == (other.ring, other.nvars, other.bound) and self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other: "NilPoly") -> "NilPoly":
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = terms.get(e)
-            terms[e] = c if prev is None else prev + c
-        return NilPoly(self.ring, self.nvars, self.bound, terms)
-
-    def __sub__(self, other: "NilPoly") -> "NilPoly":
-        return self + (other * (-1))
+        """s(x_index); the constructor drops zeros and degrees above the bound."""
+        terms = {
+            tuple(d if i == index else 0 for i in range(nvars)): c for d, c in enumerate(s.coeffs)
+        }
+        return NilPoly(Space((bound,) * nvars), s.ring, terms)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RingElem)):
-            return NilPoly(self.ring, self.nvars, self.bound, {e: c * other for e, c in self.terms.items()})
+        """Product pruned by total degree, or scaling by a coefficient."""
+        if not isinstance(other, NilPoly):
+            return super().__mul__(other)
+        self._check(other)
         terms: dict = {}
-        bound = self.bound
+        bound = self.space.factors[0]
         for e1, c1 in self.terms.items():
             d1 = sum(e1)
             for e2, c2 in other.terms.items():
@@ -245,22 +221,16 @@ class NilPoly:
                 c = c1 * c2
                 prev = terms.get(expo)
                 terms[expo] = c if prev is None else prev + c
-        return NilPoly(self.ring, self.nvars, self.bound, terms)
+        return self._like(terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "NilPoly":
-        out = NilPoly(self.ring, self.nvars, self.bound, {(0,) * self.nvars: self.ring.one()})
-        for _ in range(n):
-            out = out * self
-        return out
 
 
 def apply_law(F: "FGL", p, q):
     """F(p, q) = p + q + sum a_ij p^i q^j on nilpotent arguments.
 
     Works uniformly on Series, NilPoly and cohomology classes: anything
-    with +, *, integer powers and truthiness.  Exactness is the caller's
+    with +, * and truthiness.  Exactness is the caller's
     responsibility (arguments must be nilpotent within the truncation).
     """
     out = p + q
@@ -456,7 +426,7 @@ def _solve_inverse(F: FGL) -> Series:
 def _series_on_nilpoly(s: Series, arg: NilPoly) -> NilPoly:
     if s[0]:
         raise ValueError("expected zero constant term")
-    return _power_sum(s, arg, NilPoly(arg.ring, arg.nvars, arg.bound, {}))
+    return _power_sum(s, arg, NilPoly.zero(arg.space, arg.ring))
 
 
 # -- built-in laws --------------------------------------------------------

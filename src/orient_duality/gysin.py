@@ -31,7 +31,6 @@ for diagonals.
 
 from dataclasses import dataclass
 
-from .algebra import RingElem
 from .errors import SpaceMismatchError, RingMismatchError
 from .fgl import FGL
 from .spaces import (

@@ -2,8 +2,9 @@
 
 Homology of a product of projective spaces is modelled as the graded dual
 of its cohomology: a class is the finite family of its values on the
-monomial basis.  All operations below are forced by that model plus the
-Gysin structure:
+monomial basis, held in the sparse core ``spaces.SparseClass`` that
+cohomology classes use too (``values`` reads its map).  All operations
+below are forced by that model plus the Gysin structure:
 
 * ``pair(alpha, a)``            the evaluation <alpha, a>
 * ``pushforward_hom(f, a)``     (f_* a)(beta) = a(f^* beta)
@@ -29,14 +30,13 @@ turn), which follows from the shape's pullback and Gysin map:
   two slots and q the projection that forgets the second one;
 * ``Permutation``: f_* reorders tuples; f^! = (f^-1)_*.
 
-``fundamental_class`` is memoised on the law, and ``cap`` matches
-exponents through the packed keys of ``spaces.packed_keys``.
+``fundamental_class`` is memoised on the law; ``cap`` runs the cup
+product's pair loop ``spaces.packed_pairs`` with the keys of alpha negated,
+and ``cross_hom`` is the shared external product.
 
 The projective bundle decomposition is realised by ``psi``/``pbt_section``
 for projections that drop a single factor.
 """
-
-from fractions import Fraction
 
 from .algebra import CoeffRing, RingElem
 from .errors import RingMismatchError, SpaceMismatchError
@@ -51,9 +51,9 @@ from .spaces import (
     Permutation,
     Projection,
     Space,
+    SparseClass,
     basis,
-    packed_keys,
-    parse_exponents,
+    packed_pairs,
 )
 
 __all__ = [
@@ -74,10 +74,13 @@ __all__ = [
 ]
 
 
-class HomClass:
+class HomClass(SparseClass):
     """A homology class: values on the monomial basis, sparsely stored."""
 
-    __slots__ = ("space", "ring", "values")
+    __slots__ = ()
+    _JSON_KEY = "values"
+    _LITERAL = "homology"
+    _NOUN = "basis tuple"
 
     def __init__(self, space: Space, ring: CoeffRing, values: dict):
         clean = {}
@@ -87,105 +90,34 @@ class HomClass:
                 raise SpaceMismatchError("basis tuple %r does not fit %s" % (expo, space))
             if c:
                 clean[expo] = c
-        self.space = space
-        self.ring = ring
-        self.values = clean
+        super().__init__(space, ring, clean)
 
-    @staticmethod
-    def zero(space: Space, ring: CoeffRing) -> "HomClass":
-        return HomClass(space, ring, {})
+    @property
+    def values(self) -> dict:
+        """The values on the basis: a read-only alias of ``terms``."""
+        return self.terms
 
-    @staticmethod
-    def delta(space: Space, ring: CoeffRing, expo: tuple[int, ...], coeff=None) -> "HomClass":
+    @classmethod
+    def delta(cls, space: Space, ring: CoeffRing, expo: tuple[int, ...], coeff=None) -> "HomClass":
         """The functional dual to one basis monomial."""
-        if coeff is None:
-            coeff = ring.one()
-        elif isinstance(coeff, (int, Fraction)):
-            coeff = ring.from_coeff(coeff)
-        return HomClass(space, ring, {tuple(expo): coeff})
+        return cls.monomial(space, ring, expo, coeff)
 
     @staticmethod
     def point_class(ring: CoeffRing) -> "HomClass":
         return HomClass.delta(Space.point(), ring, ())
 
-    def _check(self, other: "HomClass"):
-        if self.space != other.space:
-            raise SpaceMismatchError("homology classes on different spaces")
-        if self.ring != other.ring:
-            raise RingMismatchError("homology classes over different rings")
-
-    def value(self, expo) -> RingElem:
-        return self.values.get(tuple(expo), self.ring.zero())
-
-    def __bool__(self) -> bool:
-        return bool(self.values)
-
-    def __eq__(self, other):
-        if not isinstance(other, HomClass):
-            return NotImplemented
-        return (self.space, self.ring) == (other.space, other.ring) and self.values == other.values
-
-    __hash__ = None
-
-    def __add__(self, other: "HomClass") -> "HomClass":
-        self._check(other)
-        values = dict(self.values)
-        for e, c in other.values.items():
-            prev = values.get(e)
-            values[e] = c if prev is None else prev + c
-        return HomClass(self.space, self.ring, values)
-
-    def __neg__(self) -> "HomClass":
-        return HomClass(self.space, self.ring, {e: -c for e, c in self.values.items()})
-
-    def __sub__(self, other: "HomClass") -> "HomClass":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RingElem)):
-            if isinstance(other, RingElem) and other.ring != self.ring:
-                raise RingMismatchError("scaling by an element of a different ring")
-            return HomClass(self.space, self.ring, {e: c * other for e, c in self.values.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def _sorted_values(self):
-        return sorted(self.values.items(), key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))
+    value = SparseClass.coeff
 
     def render(self) -> str:
-        if not self.values:
+        if not self.terms:
             return "0"
         parts = []
-        for e, c in self._sorted_values():
+        for e, c in self._sorted_terms():
             parts.append("z^(%s): %s" % (",".join(str(x) for x in e), c.render()))
         return "; ".join(parts)
 
     def __repr__(self) -> str:
         return "HomClass(%s; %s)" % (self.space.render(), self.render())
-
-    def to_json_obj(self) -> dict:
-        return {
-            "values": [
-                {"zeta": list(e), "coeff": c.render()} for e, c in self._sorted_values()
-            ]
-        }
-
-    @staticmethod
-    def from_json_obj(space: Space, ring: CoeffRing, obj) -> "HomClass":
-        from .errors import ParseError
-
-        if not isinstance(obj, dict) or "values" not in obj or not isinstance(obj["values"], list):
-            raise ParseError('homology literal must be an object {"values": [...]}')
-        values: dict = {}
-        for item in obj["values"]:
-            if not isinstance(item, dict) or "zeta" not in item or "coeff" not in item:
-                raise ParseError('each value must be {"zeta": [...], "coeff": "..."}')
-            expo = parse_exponents(space, item["zeta"], "basis tuple")
-            c = ring.parse(str(item["coeff"]))
-            prev = values.get(expo)
-            values[expo] = c if prev is None else prev + c
-        return HomClass(space, ring, values)
 
 
 # -- pairings and products -------------------------------------------------
@@ -193,13 +125,10 @@ class HomClass:
 
 def pair(alpha: CohClass, a: HomClass) -> RingElem:
     """The evaluation <alpha, a> in the coefficient ring."""
-    if alpha.space != a.space:
-        raise SpaceMismatchError("pairing needs both classes on the same space")
-    if alpha.ring != a.ring:
-        raise RingMismatchError("pairing needs both classes over the same ring")
+    alpha._check(a)
     out = alpha.ring.zero()
     for e, c in alpha.terms.items():
-        v = a.values.get(e)
+        v = a.terms.get(e)
         if v is not None:
             out = out + c * v
     return out
@@ -220,20 +149,20 @@ def pushforward_hom(f: Morphism, a: HomClass) -> HomClass:
         dropped = f.dropped
         values = {
             tuple(v[t] for t in f.keep): c
-            for v, c in a.values.items()
+            for v, c in a.terms.items()
             if not any(v[t] for t in dropped)
         }
     elif isinstance(f, LinearEmbed):
-        values = a.values
+        values = a.terms
     elif isinstance(f, Diagonal):
         t = f.factor
         values = {}
-        for v, c in a.values.items():
+        for v, c in a.terms.items():
             head, vt, tail = v[:t], v[t], v[t + 1 :]
             for i in range(vt + 1):
                 values[head + (i, vt - i) + tail] = c
     elif isinstance(f, Permutation):
-        values = {tuple(v[p] for p in f.perm): c for v, c in a.values.items()}
+        values = {tuple(v[p] for p in f.perm): c for v, c in a.terms.items()}
     else:
         raise TypeError("unknown morphism shape %r" % type(f).__name__)
     return HomClass(f.target, a.ring, values)
@@ -257,7 +186,7 @@ def shriek_hom(f: Morphism, a: HomClass, law: FGL) -> HomClass:
     if isinstance(f, LinearEmbed):
         t = f.factor
         shift = f.target.factors[t] - f.degree
-        for w, c in a.values.items():
+        for w, c in a.terms.items():
             if w[t] >= shift:
                 values[w[:t] + (w[t] - shift,) + w[t + 1 :]] = c
     elif isinstance(f, Projection):
@@ -271,7 +200,7 @@ def shriek_hom(f: Morphism, a: HomClass, law: FGL) -> HomClass:
             if g:
                 weights.append((d, g))
         expo = [0] * f.source.nfactors
-        for w, c in a.values.items():
+        for w, c in a.terms.items():
             for t, x in zip(f.keep, w):
                 expo[t] = x
             for d, g in weights:
@@ -293,37 +222,14 @@ def diamond_hom(f: Morphism, law: FGL):
 
 
 def cap(alpha: CohClass, a: HomClass) -> HomClass:
-    """(alpha cap a)(beta) = a(beta * alpha)."""
-    if alpha.space != a.space:
-        raise SpaceMismatchError("cap needs both classes on the same space")
-    if alpha.ring != a.ring:
-        raise RingMismatchError("cap needs both classes over the same ring")
-    keys, expos = packed_keys(alpha.space)
-    vals = [(keys[v_expo], v) for v_expo, v in a.values.items()]
-    values = {}
-    for e, c in alpha.terms.items():
-        ke = keys[e]
-        for kv, v in vals:
-            # beta * alpha picks up a at v_expo iff beta = v_expo - e
-            b_expo = expos.get(kv - ke)
-            if b_expo is None:
-                continue
-            contrib = c * v
-            prev = values.get(b_expo)
-            values[b_expo] = contrib if prev is None else prev + contrib
-    return HomClass(alpha.space, alpha.ring, values)
+    """(alpha cap a)(beta) = a(beta * alpha): a at v picks up beta = v - e."""
+    alpha._check(a)
+    return a._like(packed_pairs(alpha.space, alpha.terms, a.terms, -1))
 
 
 def cross_hom(a: HomClass, b: HomClass) -> HomClass:
     """External product: (a x b)(e + f) = a(e) * b(f)."""
-    if a.ring != b.ring:
-        raise RingMismatchError("classes over different coefficient rings")
-    space = a.space.times(b.space)
-    values = {}
-    for e, c in a.values.items():
-        for f, d in b.values.items():
-            values[e + f] = c * d
-    return HomClass(space, a.ring, values)
+    return a.cross(b)
 
 
 def slant_l(alpha: CohClass, a: HomClass) -> CohClass:
@@ -341,7 +247,7 @@ def slant_l(alpha: CohClass, a: HomClass) -> CohClass:
     x_space = Space(alpha.space.factors[:kx])
     terms = {}
     for e, c in alpha.terms.items():
-        v = a.values.get(e[kx:])
+        v = a.terms.get(e[kx:])
         if v is None:
             continue
         u = e[:kx]
@@ -362,7 +268,7 @@ def slant_r(alpha: CohClass, b: HomClass) -> HomClass:
         )
     y_space = Space(b.space.factors[kx:])
     values = {}
-    for be, v in b.values.items():
+    for be, v in b.terms.items():
         e, f = be[:kx], be[kx:]
         c = alpha.terms.get(e)
         if c is None:
@@ -446,7 +352,7 @@ def pbt_section(components: list[HomClass], p: Projection) -> HomClass:
         ring = comp.ring if ring is None else ring
         if comp.ring != ring:
             raise RingMismatchError("components over different rings")
-        for e, v in comp.values.items():
+        for e, v in comp.terms.items():
             expo = e[:t] + (i,) + e[t:]
             values[expo] = v
     return HomClass(p.source, ring, values)

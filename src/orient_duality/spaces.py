@@ -5,15 +5,21 @@ point.  Its cohomology over a coefficient ring R is
 
     R[z1 .. zk] / (z_t^(n_t + 1))
 
-with every z_t in degree 1 (the single collapsed grading).  Classes are
-sparse maps from exponent tuples to ring elements; the quotient relations
-are enforced at construction by dropping out-of-bound exponents, so equal
-classes always have equal term maps.
+with every z_t in degree 1 (the single collapsed grading).
 
-Products match exponents through packed keys (``packed_keys``): each
-in-range tuple e is the integer sum e_t * R_t with R_t = prod_(s<t)
-(2 n_s + 1), so adding or subtracting two tuples is one integer operation
-and one dictionary lookup decides whether the result is in range.
+``SparseClass`` is the one sparse core of cohomology classes, the homology
+classes of ``homodual`` and the scratch polynomials of ``fgl``: a map from
+exponent tuples to nonzero ring elements with checks, equality, sums,
+scaling, the graded term order, JSON literals and the external product.
+Each subclass constructor keeps its own range rule; ``CohClass`` drops
+out-of-bound exponents (the quotient relations), so equal classes always
+have equal term maps.
+
+Cup and cap share one pair loop, ``packed_pairs``, over packed keys
+(``packed_keys``): each in-range tuple e is the integer sum e_t * R_t with
+R_t = prod_(s<t) (2 n_s + 1), so adding or subtracting two tuples is one
+integer operation and one dictionary lookup decides whether the result is
+in range.
 
 Morphisms come in four generator shapes plus composites:
 
@@ -112,6 +118,26 @@ def packed_keys(space: Space) -> tuple[dict, dict]:
     return keys, {k: e for e, k in keys.items()}
 
 
+def packed_pairs(space: Space, left: dict, right: dict, sign: int) -> dict:
+    """The sum of c * d at g over the pairs (e, c) of ``left`` and (f, d)
+    of ``right`` with sign * key(e) + key(f) = key(g) for an in-range g:
+    the cup product for sign 1 (g = e + f), the cap product for sign -1
+    (g = f - e)."""
+    keys, expos = packed_keys(space)
+    right_keys = [(keys[f], d) for f, d in right.items()]
+    out: dict = {}
+    for e, c in left.items():
+        k = sign * keys[e]
+        for kf, d in right_keys:
+            g = expos.get(k + kf)
+            if g is None:
+                continue  # some z_t^(n_t + 1) divides the product
+            p = c * d
+            prev = out.get(g)
+            out[g] = p if prev is None else prev + p
+    return out
+
+
 def parse_exponents(space: Space, raw, what: str) -> tuple[int, ...]:
     """The exponent tuple of one class-literal item: one integer in
     0..n_t per factor.  JSON booleans are not integers here, and an
@@ -124,10 +150,142 @@ def parse_exponents(space: Space, raw, what: str) -> tuple[int, ...]:
     return tuple(raw)
 
 
-class CohClass:
-    """A cohomology class on a space, in canonical sparse form."""
+class SparseClass:
+    """A sparse map from exponent tuples on a space to nonzero ring elements.
+
+    The shared core of cohomology classes, homology classes and the scratch
+    polynomials of ``fgl``: checks, equality, sums, negation, scaling, the
+    graded term order, JSON literals and the external product.  Each
+    subclass constructor applies its own range rule; results of the
+    operations here are in range by construction and only drop zeros.
+    """
 
     __slots__ = ("space", "ring", "terms")
+
+    def __init__(self, space: Space, ring: CoeffRing, terms: dict):
+        # ``terms`` is already clean: in range, no zero coefficients
+        self.space = space
+        self.ring = ring
+        self.terms = terms
+
+    def _like(self, terms: dict, space: Space | None = None):
+        """A class of the same kind over the same ring from in-range terms."""
+        out = object.__new__(type(self))
+        out.space, out.ring = self.space if space is None else space, self.ring
+        out.terms = {e: c for e, c in terms.items() if c}
+        return out
+
+    # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def zero(cls, space: Space, ring: CoeffRing):
+        return cls(space, ring, {})
+
+    @classmethod
+    def monomial(cls, space: Space, ring: CoeffRing, expo: tuple[int, ...], coeff=None):
+        """The class with one term, coefficient 1 unless given."""
+        if coeff is None:
+            coeff = ring.one()
+        elif isinstance(coeff, (int, Fraction)):
+            coeff = ring.from_coeff(coeff)
+        return cls(space, ring, {tuple(expo): coeff})
+
+    # -- structure -------------------------------------------------------
+
+    def _check(self, other: "SparseClass"):
+        if self.space != other.space:
+            raise SpaceMismatchError("classes on different spaces")
+        if self.ring != other.ring:
+            raise RingMismatchError("classes over different coefficient rings")
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def coeff(self, expo: tuple[int, ...]) -> RingElem:
+        return self.terms.get(tuple(expo), self.ring.zero())
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.space, self.ring) == (other.space, other.ring) and self.terms == other.terms
+
+    __hash__ = None
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented  # kinds never mix, as in ``==``
+        self._check(other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            prev = terms.get(e)
+            terms[e] = c if prev is None else prev + c
+        return self._like(terms)
+
+    def __neg__(self):
+        return self._like({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        """Scaling by a coefficient."""
+        if not isinstance(other, (int, Fraction, RingElem)):
+            return NotImplemented
+        if isinstance(other, RingElem) and other.ring != self.ring:
+            raise RingMismatchError("scaling by an element of a different ring")
+        return self._like({e: c * other for e, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def cross(self, other):
+        """External product on the product space (factors concatenated)."""
+        if self.ring != other.ring:
+            raise RingMismatchError("classes over different coefficient rings")
+        terms = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                terms[e1 + e2] = c1 * c2
+        return self._like(terms, self.space.times(other.space))
+
+    # -- rendering -------------------------------------------------------
+
+    def _sorted_terms(self):
+        """Terms by degree, then exponents in decreasing lexicographic order."""
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))
+
+    # Subclasses name the literal's key {_JSON_KEY: [{"zeta": .., "coeff": ..}]}
+    # and, for parse errors, the literal (_LITERAL) and one tuple (_NOUN).
+
+    def to_json_obj(self) -> dict:
+        return {
+            self._JSON_KEY: [
+                {"zeta": list(e), "coeff": c.render()} for e, c in self._sorted_terms()
+            ]
+        }
+
+    @classmethod
+    def from_json_obj(cls, space: Space, ring: CoeffRing, obj):
+        key = cls._JSON_KEY
+        if not isinstance(obj, dict) or key not in obj or not isinstance(obj[key], list):
+            raise ParseError('%s literal must be an object {"%s": [...]}' % (cls._LITERAL, key))
+        terms: dict = {}
+        for item in obj[key]:
+            if not isinstance(item, dict) or "zeta" not in item or "coeff" not in item:
+                raise ParseError('each %s must be {"zeta": [...], "coeff": "..."}' % key[:-1])
+            expo = parse_exponents(space, item["zeta"], cls._NOUN)
+            c = ring.parse(str(item["coeff"]))
+            prev = terms.get(expo)
+            terms[expo] = c if prev is None else prev + c
+        return cls(space, ring, terms)
+
+
+class CohClass(SparseClass):
+    """A cohomology class on a space, in canonical sparse form."""
+
+    __slots__ = ()
+    _JSON_KEY = "terms"
+    _LITERAL = "class"
+    _NOUN = "exponent list"
 
     def __init__(self, space: Space, ring: CoeffRing, terms: dict):
         clean = {}
@@ -141,27 +299,11 @@ class CohClass:
                 continue  # the quotient relation z^(n+1) = 0
             if c:
                 clean[expo] = c
-        self.space = space
-        self.ring = ring
-        self.terms = clean
-
-    # -- constructors ----------------------------------------------------
-
-    @staticmethod
-    def zero(space: Space, ring: CoeffRing) -> "CohClass":
-        return CohClass(space, ring, {})
+        super().__init__(space, ring, clean)
 
     @staticmethod
     def one(space: Space, ring: CoeffRing) -> "CohClass":
         return CohClass(space, ring, {(0,) * space.nfactors: ring.one()})
-
-    @staticmethod
-    def monomial(space: Space, ring: CoeffRing, expo: tuple[int, ...], coeff=None) -> "CohClass":
-        if coeff is None:
-            coeff = ring.one()
-        elif isinstance(coeff, (int, Fraction)):
-            coeff = ring.from_coeff(coeff)
-        return CohClass(space, ring, {tuple(expo): coeff})
 
     @staticmethod
     def zeta(space: Space, ring: CoeffRing, t: int) -> "CohClass":
@@ -170,63 +312,12 @@ class CohClass:
         expo = tuple(1 if i == t else 0 for i in range(space.nfactors))
         return CohClass.monomial(space, ring, expo)
 
-    # -- structure -------------------------------------------------------
-
-    def _check(self, other: "CohClass"):
-        if self.space != other.space:
-            raise SpaceMismatchError("classes on different spaces")
-        if self.ring != other.ring:
-            raise RingMismatchError("classes over different coefficient rings")
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        return (self.space, self.ring) == (other.space, other.ring) and self.terms == other.terms
-
-    __hash__ = None
-
-    def coeff(self, expo: tuple[int, ...]) -> RingElem:
-        return self.terms.get(tuple(expo), self.ring.zero())
-
-    def __add__(self, other: "CohClass") -> "CohClass":
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = terms.get(e)
-            terms[e] = c if prev is None else prev + c
-        return CohClass(self.space, self.ring, terms)
-
-    def __neg__(self) -> "CohClass":
-        return CohClass(self.space, self.ring, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "CohClass") -> "CohClass":
-        return self + (-other)
-
     def __mul__(self, other):
         """Cup product, or scaling by a coefficient."""
-        if isinstance(other, (int, Fraction, RingElem)):
-            if isinstance(other, RingElem) and other.ring != self.ring:
-                raise RingMismatchError("scaling by an element of a different ring")
-            return CohClass(self.space, self.ring, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, CohClass):
-            return NotImplemented
+            return super().__mul__(other)
         self._check(other)
-        keys, expos = packed_keys(self.space)
-        right = [(keys[e], c) for e, c in other.terms.items()]
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            k1 = keys[e1]
-            for k2, c2 in right:
-                expo = expos.get(k1 + k2)
-                if expo is None:
-                    continue  # some z_t^(n_t + 1) divides the product
-                c = c1 * c2
-                prev = terms.get(expo)
-                terms[expo] = c if prev is None else prev + c
-        return CohClass(self.space, self.ring, terms)
+        return self._like(packed_pairs(self.space, self.terms, other.terms, 1))
 
     __rmul__ = __mul__
 
@@ -235,11 +326,6 @@ class CohClass:
         for _ in range(n):
             out = out * self
         return out
-
-    # -- rendering -------------------------------------------------------
-
-    def _sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))
 
     def render(self) -> str:
         if not self.terms:
@@ -270,27 +356,6 @@ class CohClass:
 
     def __repr__(self) -> str:
         return "CohClass(%s; %s)" % (self.space.render(), self.render())
-
-    def to_json_obj(self) -> dict:
-        return {
-            "terms": [
-                {"zeta": list(e), "coeff": c.render()} for e, c in self._sorted_terms()
-            ]
-        }
-
-    @staticmethod
-    def from_json_obj(space: Space, ring: CoeffRing, obj) -> "CohClass":
-        if not isinstance(obj, dict) or "terms" not in obj or not isinstance(obj["terms"], list):
-            raise ParseError('class literal must be an object {"terms": [...]}')
-        terms: dict = {}
-        for item in obj["terms"]:
-            if not isinstance(item, dict) or "zeta" not in item or "coeff" not in item:
-                raise ParseError('each term must be {"zeta": [...], "coeff": "..."}')
-            expo = parse_exponents(space, item["zeta"], "exponent list")
-            c = ring.parse(str(item["coeff"]))
-            prev = terms.get(expo)
-            terms[expo] = c if prev is None else prev + c
-        return CohClass(space, ring, terms)
 
 
 # -- morphisms ------------------------------------------------------------
@@ -502,41 +567,35 @@ def compose(*morphisms: Morphism) -> Morphism:
     return Composite(tuple(parts))
 
 
+def _framed(front: Space, f: Morphism, back: Space) -> Morphism:
+    """id_front x f x id_back, with the factors of front and back around f's."""
+    k, b = front.nfactors, back.nfactors
+    if k == 0 and b == 0:
+        return f
+    if isinstance(f, Composite):
+        return Composite(tuple(_framed(front, p, back) for p in f.parts))
+    if isinstance(f, LinearEmbed):
+        return LinearEmbed(front.times(f.target).times(back), f.factor + k, f.degree)
+    source = front.times(f.source).times(back)
+    if isinstance(f, Diagonal):
+        return Diagonal(source, f.factor + k)
+    n = f.source.nfactors
+    head, tail = tuple(range(k)), tuple(range(k + n, k + n + b))
+    if isinstance(f, Projection):
+        return Projection(source, head + tuple(t + k for t in f.keep) + tail)
+    if isinstance(f, Permutation):
+        return Permutation(source, head + tuple(p + k for p in f.perm) + tail)
+    raise TypeError("unknown morphism shape %r" % type(f).__name__)
+
+
 def prefix_product(T: Space, f: Morphism) -> Morphism:
     """id_T x f, with the factors of T in front."""
-    k = T.nfactors
-    if k == 0:
-        return f
-    if isinstance(f, Projection):
-        return Projection(T.times(f.source), tuple(range(k)) + tuple(t + k for t in f.keep))
-    if isinstance(f, LinearEmbed):
-        return LinearEmbed(T.times(f.target), f.factor + k, f.degree)
-    if isinstance(f, Diagonal):
-        return Diagonal(T.times(f.source), f.factor + k)
-    if isinstance(f, Permutation):
-        return Permutation(T.times(f.source), tuple(range(k)) + tuple(p + k for p in f.perm))
-    if isinstance(f, Composite):
-        return Composite(tuple(prefix_product(T, p) for p in f.parts))
-    raise TypeError("unknown morphism shape %r" % type(f).__name__)
+    return _framed(T, f, Space.point())
 
 
 def suffix_product(f: Morphism, T: Space) -> Morphism:
     """f x id_T, with the factors of T at the back."""
-    if T.nfactors == 0:
-        return f
-    if isinstance(f, Projection):
-        k = f.source.nfactors
-        return Projection(f.source.times(T), f.keep + tuple(range(k, k + T.nfactors)))
-    if isinstance(f, LinearEmbed):
-        return LinearEmbed(f.target.times(T), f.factor, f.degree)
-    if isinstance(f, Diagonal):
-        return Diagonal(f.source.times(T), f.factor)
-    if isinstance(f, Permutation):
-        k = f.source.nfactors
-        return Permutation(f.source.times(T), f.perm + tuple(range(k, k + T.nfactors)))
-    if isinstance(f, Composite):
-        return Composite(tuple(suffix_product(p, T) for p in f.parts))
-    raise TypeError("unknown morphism shape %r" % type(f).__name__)
+    return _framed(Space.point(), f, T)
 
 
 def product_morphism(f: Morphism, g: Morphism) -> Morphism:
@@ -597,11 +656,4 @@ def euler(space: Space, degrees: tuple[int, ...], law) -> CohClass:
 
 def cross_coh(alpha: CohClass, beta: CohClass) -> CohClass:
     """External product on the product space (factors concatenated)."""
-    if alpha.ring != beta.ring:
-        raise RingMismatchError("classes over different coefficient rings")
-    space = alpha.space.times(beta.space)
-    terms: dict = {}
-    for e1, c1 in alpha.terms.items():
-        for e2, c2 in beta.terms.items():
-            terms[e1 + e2] = c1 * c2
-    return CohClass(space, alpha.ring, terms)
+    return alpha.cross(beta)

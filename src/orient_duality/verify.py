@@ -49,7 +49,6 @@ from .homodual import (
     duality_to_coh,
     duality_to_hom,
     fundamental_class,
-    pair,
     pbt_section,
     psi,
     pushforward_hom,
@@ -67,7 +66,6 @@ from .spaces import (
     Space,
     basis,
     compose,
-    cross_coh,
     euler,
     full_diagonal,
     prefix_product,
@@ -139,32 +137,24 @@ def _sample_coeff(ring: CoeffRing, rng: random.Random):
     return c
 
 
-def sample_class(space: Space, ring: CoeffRing, rng: random.Random, window=None) -> CohClass:
-    """A deterministic pseudo-random class; ``window=(lo, hi)`` restricts
-    the populated codimensions."""
+def _sample(cls, space: Space, ring: CoeffRing, rng: random.Random, window):
     lo, hi = window if window is not None else (0, space.total_dim)
     terms = {}
     for e in basis(space):
-        if not lo <= sum(e) <= hi:
-            continue
-        if rng.random() < 0.75:
-            c = _sample_coeff(ring, rng)
-            if c:
-                terms[e] = c
-    return CohClass(space, ring, terms)
+        if lo <= sum(e) <= hi and rng.random() < 0.75:
+            terms[e] = _sample_coeff(ring, rng)
+    return cls(space, ring, terms)
+
+
+def sample_class(space: Space, ring: CoeffRing, rng: random.Random, window=None) -> CohClass:
+    """A deterministic pseudo-random class; ``window=(lo, hi)`` restricts
+    the populated codimensions."""
+    return _sample(CohClass, space, ring, rng, window)
 
 
 def sample_hom(space: Space, ring: CoeffRing, rng: random.Random, window=None) -> HomClass:
-    lo, hi = window if window is not None else (0, space.total_dim)
-    values = {}
-    for e in basis(space):
-        if not lo <= sum(e) <= hi:
-            continue
-        if rng.random() < 0.75:
-            c = _sample_coeff(ring, rng)
-            if c:
-                values[e] = c
-    return HomClass(space, ring, values)
+    """The homology counterpart of ``sample_class``, drawn the same way."""
+    return _sample(HomClass, space, ring, rng, window)
 
 
 # -- witness helpers --------------------------------------------------------

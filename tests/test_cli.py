@@ -209,7 +209,8 @@ def test_exit_2_on_bad_class_exponent(capsys, zeta, direction, key):
     )
     assert code == 2
     assert out == ""
-    assert "does not fit P2" in err
+    noun = {"terms": "exponent list", "values": "basis tuple"}[key]
+    assert err == "error: %s %s does not fit P2\n" % (noun, json.dumps(json.loads(zeta)))
 
 
 # -- morphism grammar ---------------------------------------------------------

@@ -5,7 +5,7 @@ from orient_duality.errors import (
     RingMismatchError,
     SpaceMismatchError,
 )
-from orient_duality.fgl import additive_law, multiplicative_law, universal_law
+from orient_duality.fgl import NilPoly, additive_law, multiplicative_law, universal_law
 from orient_duality.gysin import diagonal_kernel_class
 from orient_duality.homodual import (
     HomClass,
@@ -61,6 +61,31 @@ def test_homclass_rejects_out_of_range(mult):
         HomClass.delta(Space((1,)), mult.ring, (2,))
     with pytest.raises(SpaceMismatchError):
         HomClass.delta(Space((1,)), mult.ring, (0, 0))
+    # the shared core keeps each range rule: homology raises, cohomology drops
+    terms = {(2,): mult.ring.one(), (1,): mult.ring.one()}
+    with pytest.raises(SpaceMismatchError, match=r"basis tuple \(2,\) does not fit P1"):
+        HomClass(Space((1,)), mult.ring, terms)
+    assert CohClass(Space((1,)), mult.ring, terms) == CohClass.monomial(Space((1,)), mult.ring, (1,))
+
+
+def test_container_kinds_never_mix(mult):
+    sp, one = Space((2, 2)), mult.ring.one()
+    terms = {(1, 0): one, (0, 1): one}
+    kinds = (
+        CohClass(sp, mult.ring, terms),
+        HomClass(sp, mult.ring, terms),
+        NilPoly(sp, mult.ring, terms),
+    )
+    for x in kinds:
+        assert x == type(x)(sp, mult.ring, dict(terms))
+        for y in kinds:
+            if y is not x:
+                assert x != y and not x == y
+                with pytest.raises(TypeError):
+                    x + y
+                with pytest.raises(TypeError):
+                    x - y
+    assert CohClass.zero(sp, mult.ring) != HomClass.zero(sp, mult.ring)
 
 
 def test_homclass_arithmetic(mult):
@@ -326,8 +351,14 @@ def test_hom_json_roundtrip(mult):
 
 def test_hom_json_rejects(mult):
     sp = Space((1,))
-    with pytest.raises(ParseError):
-        HomClass.from_json_obj(sp, mult.ring, {"terms": []})
+    for obj in ({"terms": []}, [], "x", {"values": {}}):
+        with pytest.raises(ParseError) as exc:
+            HomClass.from_json_obj(sp, mult.ring, obj)
+        assert str(exc.value) == 'homology literal must be an object {"values": [...]}'
+    for item in ({"zeta": [0]}, {"coeff": "1"}, [0]):
+        with pytest.raises(ParseError) as exc:
+            HomClass.from_json_obj(sp, mult.ring, {"values": [item]})
+        assert str(exc.value) == 'each value must be {"zeta": [...], "coeff": "..."}'
     with pytest.raises(ParseError):
         HomClass.from_json_obj(sp, mult.ring, {"values": [{"zeta": [0, 1], "coeff": "1"}]})
     for zeta in ([True], [2], [-1]):

@@ -318,12 +318,17 @@ def test_json_roundtrip():
 
 def test_json_rejects_malformed():
     sp = Space((1,))
-    with pytest.raises(ParseError):
-        CohClass.from_json_obj(sp, RING, {"values": []})
-    with pytest.raises(ParseError):
+    for obj in ({"values": []}, [], "x", {"terms": {}}):
+        with pytest.raises(ParseError) as exc:
+            CohClass.from_json_obj(sp, RING, obj)
+        assert str(exc.value) == 'class literal must be an object {"terms": [...]}'
+    with pytest.raises(ParseError) as exc:
         CohClass.from_json_obj(sp, RING, {"terms": [{"zeta": [0, 0], "coeff": "1"}]})
-    with pytest.raises(ParseError):
-        CohClass.from_json_obj(sp, RING, {"terms": [{"zeta": [0]}]})
+    assert str(exc.value) == "exponent list [0, 0] does not fit P1"
+    for item in ({"zeta": [0]}, {"coeff": "1"}, [0]):
+        with pytest.raises(ParseError) as exc:
+            CohClass.from_json_obj(sp, RING, {"terms": [item]})
+        assert str(exc.value) == 'each term must be {"zeta": [...], "coeff": "..."}'
 
 
 def test_json_rejects_bool_and_out_of_range_exponents():
