@@ -456,6 +456,8 @@ def _parse_elem(ring: CoeffRing, text: str) -> RingElem:
             if expect_factor:
                 if kind == "num":
                     if "/" in val:
+                        if not int(val.split("/")[1]):
+                            raise ParseError("zero denominator in %r" % val, pos)
                         if not ring.allows_fractions:
                             raise ParseError("fractional coefficient in an integer ring", pos)
                         coeff *= Fraction(val)

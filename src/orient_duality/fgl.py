@@ -8,12 +8,13 @@ with i, j >= 1, i + j <= N and deg(a_ij) = 1 - i - j.  Three built-ins:
 * universal:       F = exp(log(x) + log(y))        over Q[b1..b{N-1}],
                    log(x) = x + b1*x^2 + ... + b{N-1}*x^N
 
-All series live in one formal variable truncated above degree N; the
-bivariate and trivariate scratch polynomials (``NilPoly``) used for
-construction and axiom checking are truncated above total degree N as
-well.  ``NilPoly`` is a ``spaces.SparseClass`` on (P^N)^k, so it shares
-the sums and scaling of cohomology classes and keeps only its
-degree-pruned product.  Every stored coefficient is exact.
+The scratch polynomials used for construction and axiom checking
+(``NilPoly``) are ``spaces.SparseClass`` classes on (P^N)^k truncated above
+total degree N, so they share the sums and scaling of cohomology classes
+and keep only their degree-pruned product.  A power series (``Series``) is
+the one-variable case, a class in A[x]/(x^(N+1)) on P^N; it adds dense
+coefficient access and composition, reversion and evaluation on nilpotent
+arguments.  Every stored coefficient is exact.
 
 The logarithm of a law is solved degree by degree from the invariant
 differential, the linear-in-y slot of log(F(x, y)) = log(x) + log(y), and
@@ -31,11 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import CoeffRing, RingElem, RingKind
-from .errors import (
-    InternalConsistencyError,
-    RingMismatchError,
-    TruncationUnsoundError,
-)
+from .errors import InternalConsistencyError, TruncationUnsoundError
 from .spaces import Space, SparseClass
 
 # Exact expansion of the axiom checks in many symbols is expensive in pure
@@ -45,139 +42,6 @@ from .spaces import Space, SparseClass
 # comparison of the two formal inverses in ``check_axioms`` is cheap and
 # always runs at full precision, so it sees table entries above the probe.
 _AXIOM_PROBE_BOUND = 6
-
-
-@dataclass(frozen=True)
-class Series:
-    """A truncated power series sum(coeffs[d] * x^d, d <= trunc)."""
-
-    ring: CoeffRing
-    trunc: int
-    coeffs: tuple
-
-    @staticmethod
-    def make(ring: CoeffRing, trunc: int, coeffs) -> "Series":
-        cs = [
-            ring.from_coeff(c) if isinstance(c, (int, Fraction)) else c
-            for c in list(coeffs)[: trunc + 1]
-        ]
-        cs += [ring.zero()] * (trunc + 1 - len(cs))
-        return Series(ring, trunc, tuple(cs))
-
-    @staticmethod
-    def zero(ring: CoeffRing, trunc: int) -> "Series":
-        return Series.make(ring, trunc, [])
-
-    @staticmethod
-    def identity(ring: CoeffRing, trunc: int) -> "Series":
-        return Series.make(ring, trunc, [ring.zero(), ring.one()])
-
-    def __getitem__(self, d: int) -> RingElem:
-        if 0 <= d <= self.trunc:
-            return self.coeffs[d]
-        return self.ring.zero()
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return (self.ring, self.trunc) == (other.ring, other.trunc) and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def _check(self, other: "Series"):
-        if self.ring != other.ring or self.trunc != other.trunc:
-            raise RingMismatchError("series over different rings or truncations")
-
-    def __add__(self, other: "Series") -> "Series":
-        self._check(other)
-        return Series(self.ring, self.trunc, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RingElem)):
-            return Series(self.ring, self.trunc, tuple(c * other for c in self.coeffs))
-        self._check(other)
-        out = [self.ring.zero() for _ in range(self.trunc + 1)]
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > self.trunc:
-                    break
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return Series(self.ring, self.trunc, tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Series":
-        out = Series.make(self.ring, self.trunc, [self.ring.one()])
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def shift_coeff(self, d: int, delta: RingElem) -> "Series":
-        cs = list(self.coeffs)
-        cs[d] = cs[d] + delta
-        return Series(self.ring, self.trunc, tuple(cs))
-
-    def compose(self, inner: "Series") -> "Series":
-        """self(inner(x)); requires inner(0) = 0."""
-        self._check(inner)
-        if inner.coeffs[0]:
-            raise ValueError("inner series must have zero constant term")
-        return _power_sum(self, inner, Series.make(self.ring, self.trunc, [self.coeffs[0]]))
-
-    def reversion(self) -> "Series":
-        """Compositional inverse; requires zero constant term and linear
-        coefficient +1 or -1."""
-        ring = self.ring
-        if self.coeffs[0]:
-            raise ValueError("cannot revert a series with nonzero constant term")
-        lin = self.coeffs[1]
-        if lin != ring.one() and lin != -ring.one():
-            raise ValueError("reversion needs linear coefficient +-1")
-        unit = 1 if lin == ring.one() else -1
-        rev = Series.make(ring, self.trunc, [ring.zero(), ring.from_coeff(unit)])
-        for d in range(2, self.trunc + 1):
-            err = self.compose(rev)[d]
-            if err:
-                rev = rev.shift_coeff(d, err * (-unit))
-        check = self.compose(rev)
-        if check != Series.identity(ring, self.trunc):
-            raise InternalConsistencyError("series reversion failed to verify")
-        return rev
-
-    def eval_nilpotent(self, arg):
-        """sum(coeffs[d] * arg^d, d >= 1) for a nilpotent argument.
-
-        ``arg`` is anything with +, * (including scaling by a RingElem)
-        and truthiness; the loop stops as soon as a power vanishes, so the
-        result is exact whenever arg^(trunc+1) = 0.
-        """
-        if self.coeffs[0]:
-            raise ValueError("eval_nilpotent expects zero constant term")
-        return _power_sum(self, arg, arg * 0)
-
-
-def _power_sum(s: Series, arg, out):
-    """out + sum(s[d] * arg^d, 1 <= d <= s.trunc), the one evaluation loop
-    behind ``compose``, ``eval_nilpotent`` and ``_series_on_nilpoly``.
-
-    It stops at the first power of ``arg`` that vanishes, so an argument
-    without constant term inside a truncated or nilpotent algebra costs no
-    product past its last nonzero power.
-    """
-    power = None
-    for c in s.coeffs[1:]:
-        power = arg if power is None else power * arg
-        if not power:
-            break
-        if c:
-            out = out + power * c
-    return out
 
 
 class NilPoly(SparseClass):
@@ -198,16 +62,16 @@ class NilPoly(SparseClass):
         return NilPoly.monomial(Space((bound,) * nvars), ring, expo)
 
     @staticmethod
-    def from_series(s: Series, nvars: int, bound: int, index: int) -> "NilPoly":
-        """s(x_index); the constructor drops zeros and degrees above the bound."""
+    def from_series(s: "Series", nvars: int, bound: int, index: int) -> "NilPoly":
+        """s(x_index); the constructor drops degrees above the bound."""
         terms = {
-            tuple(d if i == index else 0 for i in range(nvars)): c for d, c in enumerate(s.coeffs)
+            tuple(d if i == index else 0 for i in range(nvars)): c for (d,), c in s.terms.items()
         }
         return NilPoly(Space((bound,) * nvars), s.ring, terms)
 
     def __mul__(self, other):
         """Product pruned by total degree, or scaling by a coefficient."""
-        if not isinstance(other, NilPoly):
+        if type(other) is not type(self):
             return super().__mul__(other)
         self._check(other)
         terms: dict = {}
@@ -224,6 +88,98 @@ class NilPoly(SparseClass):
         return self._like(terms)
 
     __rmul__ = __mul__
+
+
+class Series(NilPoly):
+    """A truncated power series sum(s[d] * x^d, d <= trunc): a ``NilPoly``
+    in one variable on P^trunc, whose constructor drops degrees above
+    trunc and whose sums, scaling, products and equality are the shared
+    sparse ones."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def make(ring: CoeffRing, trunc: int, coeffs) -> "Series":
+        terms = {
+            (d,): ring.from_coeff(c) if isinstance(c, (int, Fraction)) else c
+            for d, c in enumerate(coeffs)
+        }
+        return Series(Space((trunc,)), ring, terms)
+
+    @staticmethod
+    def identity(ring: CoeffRing, trunc: int) -> "Series":
+        return Series.monomial(Space((trunc,)), ring, (1,))
+
+    @property
+    def trunc(self) -> int:
+        return self.space.factors[0]
+
+    @property
+    def coeffs(self) -> tuple:
+        """The dense coefficients s[0] .. s[trunc], zeros included."""
+        return tuple(self[d] for d in range(self.trunc + 1))
+
+    def __getitem__(self, d: int) -> RingElem:
+        return self.coeff((d,))
+
+    def __repr__(self) -> str:
+        return "Series(ring=%r, trunc=%r, coeffs=%r)" % (self.ring, self.trunc, self.coeffs)
+
+    def compose(self, inner: "Series") -> "Series":
+        """self(inner(x)); requires inner(0) = 0."""
+        self._check(inner)
+        if inner[0]:
+            raise ValueError("inner series must have zero constant term")
+        return _power_sum(self, inner, self._like({(0,): self[0]}))
+
+    def reversion(self) -> "Series":
+        """Compositional inverse; requires zero constant term and linear
+        coefficient +1 or -1."""
+        ring = self.ring
+        if self[0]:
+            raise ValueError("cannot revert a series with nonzero constant term")
+        lin = self[1]
+        if lin != ring.one() and lin != -ring.one():
+            raise ValueError("reversion needs linear coefficient +-1")
+        unit = 1 if lin == ring.one() else -1
+        rev = Series.monomial(self.space, ring, (1,), unit)
+        for d in range(2, self.trunc + 1):
+            err = self.compose(rev)[d]
+            if err:
+                rev = rev + Series.monomial(self.space, ring, (d,), err * (-unit))
+        if self.compose(rev) != Series.identity(ring, self.trunc):
+            raise InternalConsistencyError("series reversion failed to verify")
+        return rev
+
+    def eval_nilpotent(self, arg):
+        """sum(s[d] * arg^d, d >= 1) for a nilpotent argument.
+
+        ``arg`` is anything with +, * (including scaling by a RingElem)
+        and truthiness; the loop stops as soon as a power vanishes, so the
+        result is exact whenever arg^(trunc+1) = 0.
+        """
+        if self[0]:
+            raise ValueError("eval_nilpotent expects zero constant term")
+        return _power_sum(self, arg, arg * 0)
+
+
+def _power_sum(s: Series, arg, out):
+    """out + sum(s[d] * arg^d, 1 <= d <= s.trunc), the one evaluation loop
+    behind ``compose``, ``eval_nilpotent`` and ``_series_on_nilpoly``.
+
+    It stops at the first power of ``arg`` that vanishes, so an argument
+    without constant term inside a truncated or nilpotent algebra costs no
+    product past its last nonzero power.
+    """
+    power = None
+    for d in range(1, s.trunc + 1):
+        power = arg if power is None else power * arg
+        if not power:
+            break
+        c = s[d]
+        if c:
+            out = out + power * c
+    return out
 
 
 def apply_law(F: "FGL", p, q):
@@ -335,7 +291,7 @@ class FGL:
             k = m
             while k > 0 and k not in cache:
                 k -= 1
-            out = cache[k] if k else Series.zero(self.ring, self.truncation)
+            out = cache[k] if k else Series.zero(Space((self.truncation,)), self.ring)
             x = self.x_series()
             for j in range(k + 1, m + 1):
                 out = apply_law(self, x, out)
@@ -413,11 +369,11 @@ class FGL:
 
 def _solve_inverse(F: FGL) -> Series:
     x = F.x_series()
-    inv = Series.make(F.ring, F.truncation, [F.ring.zero(), -F.ring.one()])
+    inv = -x
     for d in range(2, F.truncation + 1):
         err = apply_law(F, x, inv)[d]
         if err:
-            inv = inv.shift_coeff(d, -err)
+            inv = inv + Series.monomial(x.space, F.ring, (d,), -err)
     if apply_law(F, x, inv):
         raise InternalConsistencyError("formal inverse failed to verify")
     return inv
@@ -506,8 +462,7 @@ def check_axioms(F: FGL) -> str | None:
         if c.degrees() - expected:
             return "a(%d,%d) has degree outside %r" % (i, j, expected)
     x = F.x_series()
-    zero = Series.zero(F.ring, F.truncation)
-    if apply_law(F, x, zero) != x:
+    if apply_law(F, x, x * 0) != x:
         return "F(x, 0) != x"
     bound = F.truncation
     if F.ring.kind is RingKind.UNIVERSAL:
@@ -522,7 +477,7 @@ def check_axioms(F: FGL) -> str | None:
     try:
         log = F.log()
         inv = F.inverse()
-        via_log = F.exp().compose(Series(F.ring, F.truncation, tuple(-c for c in log.coeffs)))
+        via_log = F.exp().compose(-log)
     except InternalConsistencyError as exc:
         return str(exc)
     if inv != via_log:

@@ -123,8 +123,17 @@ class HomClass(SparseClass):
 # -- pairings and products -------------------------------------------------
 
 
+def _check_kinds(alpha, a):
+    if not isinstance(alpha, CohClass) or not isinstance(a, HomClass):
+        raise TypeError(
+            "expected a cohomology class and a homology class, got %s and %s"
+            % (type(alpha).__name__, type(a).__name__)
+        )
+
+
 def pair(alpha: CohClass, a: HomClass) -> RingElem:
     """The evaluation <alpha, a> in the coefficient ring."""
+    _check_kinds(alpha, a)
     alpha._check(a)
     out = alpha.ring.zero()
     for e, c in alpha.terms.items():
@@ -223,6 +232,7 @@ def diamond_hom(f: Morphism, law: FGL):
 
 def cap(alpha: CohClass, a: HomClass) -> HomClass:
     """(alpha cap a)(beta) = a(beta * alpha): a at v picks up beta = v - e."""
+    _check_kinds(alpha, a)
     alpha._check(a)
     return a._like(packed_pairs(alpha.space, alpha.terms, a.terms, -1))
 
@@ -238,6 +248,7 @@ def slant_l(alpha: CohClass, a: HomClass) -> CohClass:
     Writing alpha = sum alpha_(u,v) z^u z^v over the split exponents,
     (alpha / a) = sum alpha_(u,v) a(z^v) z^u.
     """
+    _check_kinds(alpha, a)
     ky = a.space.nfactors
     kx = alpha.space.nfactors - ky
     if kx < 0 or alpha.space.factors[kx:] != a.space.factors:
@@ -260,6 +271,7 @@ def slant_l(alpha: CohClass, a: HomClass) -> CohClass:
 def slant_r(alpha: CohClass, b: HomClass) -> HomClass:
     """alpha \\ b for alpha on X and b on X x Y, landing on Y:
     (alpha \\ b)(z^f) = sum_e alpha_e b(z^e z^f)."""
+    _check_kinds(alpha, b)
     kx = alpha.space.nfactors
     ky = b.space.nfactors - kx
     if ky < 0 or b.space.factors[:kx] != alpha.space.factors:

@@ -239,6 +239,10 @@ class SparseClass:
 
     def cross(self, other):
         """External product on the product space (factors concatenated)."""
+        if type(other) is not type(self):
+            raise TypeError(
+                "cannot cross a %s with a %s" % (type(self).__name__, type(other).__name__)
+            )
         if self.ring != other.ring:
             raise RingMismatchError("classes over different coefficient rings")
         terms = {}
@@ -377,6 +381,19 @@ class Morphism:
                 % (self.render(), self.target, alpha.space)
             )
 
+    def _placed(self, alpha: CohClass, slots: tuple[int, ...]) -> CohClass:
+        """The pullback that puts exponent i of alpha in source slot
+        slots[i] and zeros elsewhere (projections and permutations)."""
+        self._check_target_class(alpha)
+        k = self.source.nfactors
+        terms = {}
+        for e, c in alpha.terms.items():
+            expo = [0] * k
+            for i, t in enumerate(slots):
+                expo[t] = e[i]
+            terms[tuple(expo)] = c
+        return CohClass(self.source, alpha.ring, terms)
+
     def render(self) -> str:
         raise NotImplementedError
 
@@ -406,15 +423,7 @@ class Projection(Morphism):
         return tuple(t for t in range(self.source.nfactors) if t not in self.keep)
 
     def pullback(self, alpha: CohClass) -> CohClass:
-        self._check_target_class(alpha)
-        k = self.source.nfactors
-        terms = {}
-        for e, c in alpha.terms.items():
-            expo = [0] * k
-            for pos, t in enumerate(self.keep):
-                expo[t] = e[pos]
-            terms[tuple(expo)] = c
-        return CohClass(self.source, alpha.ring, terms)
+        return self._placed(alpha, self.keep)
 
     def render(self) -> str:
         return "proj(%s)" % ",".join(str(t) for t in self.keep)
@@ -501,15 +510,7 @@ class Permutation(Morphism):
         return Permutation(self.target, tuple(inv))
 
     def pullback(self, alpha: CohClass) -> CohClass:
-        self._check_target_class(alpha)
-        k = self.source.nfactors
-        terms = {}
-        for e, c in alpha.terms.items():
-            expo = [0] * k
-            for i, p in enumerate(self.perm):
-                expo[p] = e[i]
-            terms[tuple(expo)] = c
-        return CohClass(self.source, alpha.ring, terms)
+        return self._placed(alpha, self.perm)
 
     @property
     def is_identity(self) -> bool:

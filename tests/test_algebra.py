@@ -175,6 +175,33 @@ def test_render_parse_roundtrip(ring, data):
     assert ring.parse(x.render()) == x
 
 
+def _literals(ring):
+    """Text from the element grammar's tokens: numbers, fractions, the
+    ring's symbols and one symbol it lacks, joined by operators, '/',
+    spaces or nothing, so that well-formed and malformed literals mix."""
+    number = st.sampled_from(["0", "1", "2", "7", "12"])
+    factor = st.one_of(
+        number,
+        st.tuples(number, number).map("/".join),
+        st.sampled_from(list(ring.symbols) + ["q7"]),
+    )
+    sep = st.sampled_from(["+", "-", "*", "^", "/", " ", "", " - "])
+    rest = st.lists(st.tuples(sep, factor).map("".join), max_size=6).map("".join)
+    return st.tuples(st.sampled_from(["", "-", " "]), factor, rest).map("".join)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.kind.value)
+@given(data=st.data())
+@settings(max_examples=500, deadline=None)
+def test_parse_fuzz_rejects_or_roundtrips(ring, data):
+    text = data.draw(_literals(ring))
+    try:
+        x = ring.parse(text)
+    except ParseError:
+        return
+    assert ring.parse(x.render()) == x
+
+
 def test_degrees():
     ring = CoeffRing.universal(6)
     e = ring.parse("3 + b1 - 2*b2 + b1^2")

@@ -213,6 +213,34 @@ def test_exit_2_on_bad_class_exponent(capsys, zeta, direction, key):
     assert err == "error: %s %s does not fit P2\n" % (noun, json.dumps(json.loads(zeta)))
 
 
+@pytest.mark.parametrize(
+    "theory,literal,token,pos",
+    [
+        ("universal", "1/0", "1/0", 0),
+        ("universal", "0/0*b1", "0/0", 0),
+        ("universal", "b1 + 3 / 00", "3/00", 5),
+        ("multiplicative", "2 - 1/0*beta", "1/0", 4),
+    ],
+)
+def test_exit_2_on_zero_denominator_in_ring(capsys, theory, literal, token, pos):
+    code, out, err = _run(capsys, "ring", "--theory", theory, "--parse=" + literal)
+    assert code == 2
+    assert out == ""
+    assert err == "error: zero denominator in %r (at position %d)\n" % (token, pos)
+
+
+@pytest.mark.parametrize("direction,key", [("to-hom", "terms"), ("to-coh", "values")])
+def test_exit_2_on_zero_denominator_in_class(capsys, direction, key):
+    literal = '{"%s": [{"zeta": [1], "coeff": "b1 - 1/0"}]}' % key
+    code, out, err = _run(
+        capsys, "dualize", "--theory", "universal", "--space", "P2",
+        "--direction", direction, "--class", literal,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: zero denominator in '1/0' (at position 5)\n"
+
+
 # -- morphism grammar ---------------------------------------------------------
 
 

@@ -2,8 +2,9 @@
 
 The digests pin the exact bytes the calculator prints, so a change that
 only means to make it faster cannot alter an answer unnoticed.  Most
-commands print class values; the two ``verify`` runs pin the report
-format and the witnesses' absence; the two ``ring --parse`` runs pin the
+commands print class values; the three ``verify`` runs pin the report
+format and the witnesses' absence (the universal grid at truncation 10
+holds the deepest series work); the two ``ring --parse`` runs pin the
 term order of rendered ring elements.  A deliberate change of output must
 update the digest here and say why.
 """
@@ -49,6 +50,13 @@ GOLDEN = [
         "9aa3faaf7028610da3a895551972c3bdc0bf36c154510cb7236e6ac2f7eb79db",
     ),
     (
+        [
+            "verify", "--theory", "universal", "--space", "P1,P2,P3,P1xP1,P1xP2,P2xP2",
+            "--truncation", "10", "--format", "json",
+        ],
+        "ba4b78f0e5b79dd04759b11ccd02ef22865999b90ceb6282aec6cee92bc1aab2",
+    ),
+    (
         ["kernel", "--theory", "universal", "--space", "P2xP2", "--format", "json"],
         "6fb334306ab1dd53d4d8ca07cb2799bd725f48a32ba9987cf551e514be1b92d3",
     ),
@@ -91,6 +99,7 @@ GOLDEN = [
 GOLDEN_IDS = [
     "verify-defaults",
     "verify-cube",
+    "verify-universal-grid",
     "kernel-universal-P2xP2",
     "fundamental-universal-P2xP3",
     "dualize-to-hom-universal-P2xP2",

@@ -85,7 +85,20 @@ def test_container_kinds_never_mix(mult):
                     x + y
                 with pytest.raises(TypeError):
                     x - y
+                with pytest.raises(TypeError):
+                    x.cross(y)
     assert CohClass.zero(sp, mult.ring) != HomClass.zero(sp, mult.ring)
+    # the products between the sides take a cohomology and a homology class
+    coh, hom, nil = kinds
+    for product in (pair, cap, slant_l, slant_r):
+        assert product(coh, hom) is not None
+        for x, y in ((coh, coh), (hom, hom), (hom, coh), (nil, hom), (coh, nil)):
+            with pytest.raises(TypeError):
+                product(x, y)
+    with pytest.raises(TypeError):
+        cross_coh(coh, hom)
+    with pytest.raises(TypeError):
+        cross_hom(hom, coh)
 
 
 def test_homclass_arithmetic(mult):
