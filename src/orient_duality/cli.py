@@ -248,7 +248,7 @@ def _cmd_verify(args) -> int:
     if trunc is None:
         trunc = max(s.total_dim for s in spaces) + 1
     checks = None
-    if args.checks:
+    if args.checks is not None:  # an empty list names the empty check id
         checks = tuple(c.strip() for c in args.checks.split(","))
     cfg = CheckConfig(
         theories=kinds, spaces=spaces, truncation=trunc, seed=args.seed, samples=args.samples

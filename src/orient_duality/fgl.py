@@ -10,11 +10,12 @@ with i, j >= 1, i + j <= N and deg(a_ij) = 1 - i - j.  Three built-ins:
 
 The scratch polynomials used for construction and axiom checking
 (``NilPoly``) are ``spaces.SparseClass`` classes on (P^N)^k truncated above
-total degree N, so they share the sums and scaling of cohomology classes
-and keep only their degree-pruned product.  A power series (``Series``) is
-the one-variable case, a class in A[x]/(x^(N+1)) on P^N; it adds dense
-coefficient access and composition, reversion and evaluation on nilpotent
-arguments.  Every stored coefficient is exact.
+total degree N: their products are the shared product over the tuples of
+total degree <= N.  A power series (``Series``) is the one-variable case,
+a class in A[x]/(x^(N+1)) on P^N; it adds dense coefficient access and
+composition, reversion and evaluation on nilpotent arguments.  Every
+stored coefficient is exact.  All data derived from a law is kept in one
+memo behind ``FGL.derived``.
 
 The logarithm of a law is solved degree by degree from the invariant
 differential, the linear-in-y slot of log(F(x, y)) = log(x) + log(y), and
@@ -30,9 +31,10 @@ proved integral before being returned.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .algebra import CoeffRing, RingElem, RingKind
-from .errors import InternalConsistencyError, TruncationUnsoundError
+from .errors import InternalConsistencyError, SpaceMismatchError, TruncationUnsoundError
 from .spaces import Space, SparseClass
 
 # Exact expansion of the axiom checks in many symbols is expensive in pure
@@ -47,14 +49,23 @@ _AXIOM_PROBE_BOUND = 6
 class NilPoly(SparseClass):
     """Scratch polynomial in ``nvars`` nilpotent variables, truncated above
     total degree ``bound``: a class on (P^bound)^nvars whose constructor
-    drops every term of total degree above the bound.  Used to build laws
-    and check their axioms."""
+    drops every term of total degree above the bound, and whose products
+    run the shared pair loop over the tuples of total degree <= bound.
+    Used to build laws and check their axioms."""
 
     __slots__ = ()
 
     def __init__(self, space: Space, ring: CoeffRing, terms: dict):
         bound = space.factors[0]
+        for e in terms:
+            if len(e) != space.nfactors:
+                raise SpaceMismatchError("exponent tuple %r does not fit %s" % (e, space))
+            if any(x < 0 for x in e):
+                raise ValueError("negative exponent in %r" % (e,))
         super().__init__(space, ring, {e: c for e, c in terms.items() if c and sum(e) <= bound})
+
+    def _top_degree(self) -> int:
+        return self.space.factors[0]
 
     @staticmethod
     def gen(ring: CoeffRing, nvars: int, bound: int, index: int) -> "NilPoly":
@@ -68,26 +79,6 @@ class NilPoly(SparseClass):
             tuple(d if i == index else 0 for i in range(nvars)): c for (d,), c in s.terms.items()
         }
         return NilPoly(Space((bound,) * nvars), s.ring, terms)
-
-    def __mul__(self, other):
-        """Product pruned by total degree, or scaling by a coefficient."""
-        if type(other) is not type(self):
-            return super().__mul__(other)
-        self._check(other)
-        terms: dict = {}
-        bound = self.space.factors[0]
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > bound:
-                    continue
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                prev = terms.get(expo)
-                terms[expo] = c if prev is None else prev + c
-        return self._like(terms)
-
-    __rmul__ = __mul__
 
 
 class Series(NilPoly):
@@ -217,33 +208,34 @@ def apply_law(F: "FGL", p, q):
 class FGL:
     """A formal group law plus memoised derived data.
 
-    The coefficient table is immutable by convention.  Every private cache
-    holds a pure function of the law, computed on first use:
+    The coefficient table is immutable by convention.  Everything derived
+    from it is a pure function of the law, computed on first use and kept
+    in one memo keyed by (kind, argument) behind ``derived``:
 
-    * ``_log`` and ``_exp``: the logarithm and its compositional inverse;
-    * ``_inverse``: the formal inverse iota with F(x, iota(x)) = 0;
-    * ``_m_series``: the m-fold formal sums [m](x), keyed by m;
-    * ``_pn``: the point classes g_n;
-    * ``_kernel_cache``: the diagonal kernels of P^n, keyed by n (filled
-      by ``gysin.kernel``);
-    * ``_diagonal_cache``: the diagonal classes on X x X, keyed by the
-      space X (filled by ``gysin.diagonal_kernel_class``);
-    * ``_fundamental_cache``: the fundamental classes [X], keyed by X
-      (filled by ``homodual.fundamental_class``).
+    * ``"log"``, ``"exp"``: the logarithm and its compositional inverse;
+    * ``"inverse"``: the formal inverse iota with F(x, iota(x)) = 0;
+    * ``"m_series"``: the m-fold formal sums [m](x), keyed by m;
+    * ``"pn_class"``: the point classes g_n, keyed by n;
+    * ``"axioms"``: the witness of ``check_axioms`` (None when they hold);
+    * ``"kernel"``: the diagonal kernels of P^n, keyed by n (``gysin``);
+    * ``"diagonal_class"``: the diagonal classes on X x X, keyed by the
+      space X (``gysin``);
+    * ``"fundamental_class"``: the fundamental classes [X], keyed by X
+      (``homodual``).
     """
 
     ring: CoeffRing
     truncation: int
     coeffs: dict
-    _log: Series | None = field(default=None, repr=False)
-    _exp: Series | None = field(default=None, repr=False)
-    _inverse: Series | None = field(default=None, repr=False)
-    _m_series: dict = field(default_factory=dict, repr=False)
-    _pn: dict = field(default_factory=dict, repr=False)
-    _kernel_cache: dict = field(default_factory=dict, repr=False)
-    _diagonal_cache: dict = field(default_factory=dict, repr=False)
-    _fundamental_cache: dict = field(default_factory=dict, repr=False)
-    _axioms_ok: bool = field(default=False, repr=False)
+    _memo: dict = field(default_factory=dict, repr=False)
+
+    def derived(self, kind: str, arg, build):
+        """The datum (kind, arg) of this law; ``build()`` computes it on
+        first use."""
+        key = (kind, arg)
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def a(self, i: int, j: int) -> RingElem:
         return self.coeffs.get((i, j), self.ring.zero())
@@ -275,28 +267,17 @@ class FGL:
     def inverse(self) -> Series:
         """The series iota with F(x, iota(x)) = 0, solved from the table
         degree by degree (memoised)."""
-        if self._inverse is None:
-            self._inverse = _solve_inverse(self)
-        return self._inverse
+        return self.derived("inverse", None, lambda: _solve_inverse(self))
 
     def m_series(self, m: int) -> Series:
         """The m-fold formal sum [m](x) = F(x, [m-1](x)); negative m via
         the inverse.  Memoised, together with every [k] built on the way."""
-        cache = self._m_series
-        if m in cache:
-            return cache[m]
         if m < 0:
-            out = self.inverse().compose(self.m_series(-m))
-        else:
-            k = m
-            while k > 0 and k not in cache:
-                k -= 1
-            out = cache[k] if k else Series.zero(Space((self.truncation,)), self.ring)
-            x = self.x_series()
-            for j in range(k + 1, m + 1):
-                out = apply_law(self, x, out)
-                cache[j] = out
-        cache[m] = out
+            return self.derived("m_series", m, lambda: self.inverse().compose(self.m_series(-m)))
+        x = self.x_series()
+        out = Series.zero(x.space, self.ring)
+        for j in range(1, m + 1):
+            out = self.derived("m_series", j, partial(apply_law, self, x, out))
         return out
 
     # -- logarithm and point classes ------------------------------------
@@ -311,21 +292,22 @@ class FGL:
         identity (up to the probe bound for laws with large symbolic
         coefficients).
         """
-        if self._log is None:
-            ring = self.ring
-            c = [ring.one()]
-            for m in range(1, self.truncation):
-                cm = ring.zero()
-                for i in range(1, m + 1):
-                    a = self.coeffs.get((i, 1))
-                    if a:
-                        cm = cm - a * c[m - i]
-                c.append(cm)
-            coeffs = [ring.zero()] + [cm * Fraction(1, m + 1) for m, cm in enumerate(c)]
-            log = Series.make(ring, self.truncation, coeffs)
-            self._validate_log(log)
-            self._log = log
-        return self._log
+        return self.derived("log", None, self._solve_log)
+
+    def _solve_log(self) -> Series:
+        ring = self.ring
+        c = [ring.one()]
+        for m in range(1, self.truncation):
+            cm = ring.zero()
+            for i in range(1, m + 1):
+                a = self.coeffs.get((i, 1))
+                if a:
+                    cm = cm - a * c[m - i]
+            c.append(cm)
+        coeffs = [ring.zero()] + [cm * Fraction(1, m + 1) for m, cm in enumerate(c)]
+        log = Series.make(ring, self.truncation, coeffs)
+        self._validate_log(log)
+        return log
 
     def _validate_log(self, log: Series):
         bound = self.truncation
@@ -341,9 +323,7 @@ class FGL:
 
     def exp(self) -> Series:
         """The compositional inverse of the logarithm (memoised)."""
-        if self._exp is None:
-            self._exp = self.log().reversion()
-        return self._exp
+        return self.derived("exp", None, lambda: self.log().reversion())
 
     def pn_class(self, n: int) -> RingElem:
         """Direct image of 1 under projective n-space -> point.
@@ -359,12 +339,13 @@ class FGL:
             raise TruncationUnsoundError(
                 "point class g_%d needs truncation >= %d, law has %d" % (n, n + 1, self.truncation)
             )
-        if n not in self._pn:
-            g = self.log()[n + 1] * (n + 1)
-            if self.ring.kind is not RingKind.UNIVERSAL and not g.is_integral():
-                raise InternalConsistencyError("g_%d is not integral: %s" % (n, g.render()))
-            self._pn[n] = g
-        return self._pn[n]
+        return self.derived("pn_class", n, lambda: self._point_class(n))
+
+    def _point_class(self, n: int) -> RingElem:
+        g = self.log()[n + 1] * (n + 1)
+        if self.ring.kind is not RingKind.UNIVERSAL and not g.is_integral():
+            raise InternalConsistencyError("g_%d is not integral: %s" % (n, g.render()))
+        return g
 
 
 def _solve_inverse(F: FGL) -> Series:
@@ -420,10 +401,9 @@ def universal_law(truncation: int) -> FGL:
             coeffs[(i, j)] = c
         elif not ((i, j) in ((1, 0), (0, 1)) and c == ring.one()):
             raise InternalConsistencyError("universal law is not in normal form")
-    law = FGL(ring, n, coeffs)
+    # the construction data *is* the logarithm
+    law = FGL(ring, n, coeffs, {("log", None): log, ("exp", None): exp})
     law._validate_log(log)
-    law._log = log  # the construction data *is* the logarithm
-    law._exp = exp
     return law
 
 
@@ -449,10 +429,12 @@ def check_axioms(F: FGL) -> str | None:
     table (F(x, iota) = 0) and from the logarithm (exp(-log x)), and the
     two must agree at full precision; this also catches a table that
     differs from its law above the probe bound, and a stale logarithm.
-    The result is cached on the law.
+    The result is memoised on the law.
     """
-    if F._axioms_ok:
-        return None
+    return F.derived("axioms", None, lambda: _axiom_witness(F))
+
+
+def _axiom_witness(F: FGL) -> str | None:
     for (i, j), c in F.coeffs.items():
         if i < 1 or j < 1 or i + j > F.truncation:
             return "coefficient a(%d,%d) outside the allowed index range" % (i, j)
@@ -482,6 +464,5 @@ def check_axioms(F: FGL) -> str | None:
         return str(exc)
     if inv != via_log:
         return "formal inverse from the table differs from exp(-log(x))"
-    F._axioms_ok = True
     return None
 

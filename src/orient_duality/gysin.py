@@ -21,8 +21,8 @@ the projection formula requirement
 which pins C as the inverse of the pairing matrix M with M[k][l] =
 g_(n-k-l) (anti-triangular with unit anti-diagonal, hence invertible over
 any coefficient ring by back substitution, no division needed).  The
-kernels of P^n and the diagonal classes of product spaces are memoised on
-the law object.
+kernels of P^n and the diagonal classes of product spaces are kept in the
+law's memo (``FGL.derived``).
 
 The homological transposes f_* and f^! (``homodual``) use the same
 per-shape data: the point classes for projections and ``placed_kernel``
@@ -63,9 +63,10 @@ class GysinKernel:
 
 def kernel(law: FGL, n: int) -> GysinKernel:
     """The diagonal kernel of P^n for the given law (memoised)."""
-    cached = law._kernel_cache.get(n)
-    if cached is not None:
-        return cached
+    return law.derived("kernel", n, lambda: _solve_kernel(law, n))
+
+
+def _solve_kernel(law: FGL, n: int) -> GysinKernel:
     ring = law.ring
     zero = ring.zero()
     g = [law.pn_class(d) for d in range(n + 1)]
@@ -89,9 +90,7 @@ def kernel(law: FGL, n: int) -> GysinKernel:
     C = tuple(tuple(C_cols[l][i] for l in range(n + 1)) for i in range(n + 1))
     square = Space((n, n))
     K = CohClass(square, ring, {(i, j): C[i][j] for i in range(n + 1) for j in range(n + 1)})
-    kern = GysinKernel(n, M, C, K)
-    law._kernel_cache[n] = kern
-    return kern
+    return GysinKernel(n, M, C, K)
 
 
 def _check_pushforward_args(f: Morphism, alpha: CohClass, law: FGL):
@@ -176,14 +175,14 @@ def diagonal_kernel_class(space: Space, law: FGL) -> CohClass:
     along the factor shuffle; agrees with pushing 1 along
     ``spaces.full_diagonal`` (the verification suite checks both).
     Memoised on the law."""
-    cached = law._diagonal_cache.get(space)
-    if cached is None:
-        blocks = CohClass.one(Space.point(), law.ring)
-        for n in space.factors:
-            blocks = cross_coh(blocks, kernel(law, n).K)
-        # blocks lives on (n1, n1, n2, n2, ...); the shuffle sends X x X there.
-        k = space.nfactors
-        sigma = tuple(s for t in range(k) for s in (t, k + t))
-        cached = Permutation(space.times(space), sigma).pullback(blocks)
-        law._diagonal_cache[space] = cached
-    return cached
+    return law.derived("diagonal_class", space, lambda: _diagonal_class(space, law))
+
+
+def _diagonal_class(space: Space, law: FGL) -> CohClass:
+    blocks = CohClass.one(Space.point(), law.ring)
+    for n in space.factors:
+        blocks = cross_coh(blocks, kernel(law, n).K)
+    # blocks lives on (n1, n1, n2, n2, ...); the shuffle sends X x X there.
+    k = space.nfactors
+    sigma = tuple(s for t in range(k) for s in (t, k + t))
+    return Permutation(space.times(space), sigma).pullback(blocks)

@@ -30,9 +30,9 @@ turn), which follows from the shape's pullback and Gysin map:
   two slots and q the projection that forgets the second one;
 * ``Permutation``: f_* reorders tuples; f^! = (f^-1)_*.
 
-``fundamental_class`` is memoised on the law; ``cap`` runs the cup
-product's pair loop ``spaces.packed_pairs`` with the keys of alpha negated,
-and ``cross_hom`` is the shared external product.
+``fundamental_class`` is kept in the law's memo (``FGL.derived``); ``cap``
+runs the cup product's pair loop ``spaces.packed_pairs`` with the keys of
+alpha negated, and ``cross_hom`` is the shared external product.
 
 The projective bundle decomposition is realised by ``psi``/``pbt_section``
 for projections that drop a single factor.
@@ -53,6 +53,7 @@ from .spaces import (
     Space,
     SparseClass,
     basis,
+    packed_keys,
     packed_pairs,
 )
 
@@ -234,7 +235,8 @@ def cap(alpha: CohClass, a: HomClass) -> HomClass:
     """(alpha cap a)(beta) = a(beta * alpha): a at v picks up beta = v - e."""
     _check_kinds(alpha, a)
     alpha._check(a)
-    return a._like(packed_pairs(alpha.space, alpha.terms, a.terms, -1))
+    table = packed_keys(alpha.space, alpha.space.total_dim)
+    return a._like(packed_pairs(table, alpha.terms, a.terms, -1))
 
 
 def cross_hom(a: HomClass, b: HomClass) -> HomClass:
@@ -298,20 +300,20 @@ def fundamental_class(space: Space, law: FGL) -> HomClass:
     """[X](z^e) = prod_t g_(n_t - e_t); equals the transfer of the point
     class along the projection to the point (V11 compares the two).
     Memoised on the law."""
-    cached = law._fundamental_cache.get(space)
-    if cached is None:
-        values = {}
-        for e in basis(space):
-            v = law.ring.one()
-            for n, x in zip(space.factors, e):
-                v = v * law.pn_class(n - x)
-                if not v:
-                    break
-            if v:
-                values[e] = v
-        cached = HomClass(space, law.ring, values)
-        law._fundamental_cache[space] = cached
-    return cached
+    return law.derived("fundamental_class", space, lambda: _fundamental_class(space, law))
+
+
+def _fundamental_class(space: Space, law: FGL) -> HomClass:
+    values = {}
+    for e in basis(space):
+        v = law.ring.one()
+        for n, x in zip(space.factors, e):
+            v = v * law.pn_class(n - x)
+            if not v:
+                break
+        if v:
+            values[e] = v
+    return HomClass(space, law.ring, values)
 
 
 def duality_to_hom(alpha: CohClass, law: FGL) -> HomClass:

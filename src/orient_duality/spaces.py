@@ -10,16 +10,16 @@ with every z_t in degree 1 (the single collapsed grading).
 ``SparseClass`` is the one sparse core of cohomology classes, the homology
 classes of ``homodual`` and the scratch polynomials of ``fgl``: a map from
 exponent tuples to nonzero ring elements with checks, equality, sums,
-scaling, the graded term order, JSON literals and the external product.
-Each subclass constructor keeps its own range rule; ``CohClass`` drops
-out-of-bound exponents (the quotient relations), so equal classes always
-have equal term maps.
+scaling, the product of two classes of one kind, the graded term order,
+JSON literals and the external product.  Each subclass constructor keeps
+its own range rule; ``CohClass`` drops out-of-bound exponents (the quotient
+relations), so equal classes always have equal term maps.
 
-Cup and cap share one pair loop, ``packed_pairs``, over packed keys
-(``packed_keys``): each in-range tuple e is the integer sum e_t * R_t with
-R_t = prod_(s<t) (2 n_s + 1), so adding or subtracting two tuples is one
-integer operation and one dictionary lookup decides whether the result is
-in range.
+Cup, cap and series products share one pair loop, ``packed_pairs``, over a
+table of packed keys (``packed_keys``: the box, or a simplex for ``fgl``):
+each tuple e is the integer sum e_t * R_t with R_t = prod_(s<t) (2 n_s + 1),
+so adding or subtracting two tuples is one integer operation and one
+dictionary lookup decides whether the result is in the table.
 
 Morphisms come in four generator shapes plus composites:
 
@@ -100,30 +100,37 @@ def basis(space: Space) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=128)
-def packed_keys(space: Space) -> tuple[dict, dict]:
-    """(tuple -> key, key -> tuple) over the in-range exponent tuples.
+def packed_keys(space: Space, total: int) -> tuple[dict, dict]:
+    """The table (tuple -> key, key -> tuple) over the in-range exponent
+    tuples of total degree <= ``total``; ``total = space.total_dim`` gives
+    the whole box.
 
     The key of e is sum_t e_t * R_t with R_t = prod_(s<t) (2 n_s + 1).
     For in-range e and f, digit t of e + f lies in 0..2 n_t and digit t
     of e - f in -n_t..n_t; each range is a full digit set for the radix
     2 n_t + 1, so neither sum nor difference carries and its key equals
-    the key of an in-range tuple exactly when its digits are that tuple.
+    the key of a tuple in the table exactly when its digits are that tuple.
     The tables are shared: callers must not modify them.
     """
-    keys = {(): 0}
+    rows = [((), 0, 0)]  # (tuple, key, total degree)
     radix = 1
     for n in space.factors:
-        keys = {e + (i,): k + i * radix for e, k in keys.items() for i in range(n + 1)}
+        rows = [
+            (e + (i,), k + i * radix, d + i)
+            for e, k, d in rows
+            for i in range(min(n, total - d) + 1)
+        ]
         radix *= 2 * n + 1
-    return keys, {k: e for e, k in keys.items()}
+    return {e: k for e, k, _ in rows}, {k: e for e, k, _ in rows}
 
 
-def packed_pairs(space: Space, left: dict, right: dict, sign: int) -> dict:
+def packed_pairs(table: tuple[dict, dict], left: dict, right: dict, sign: int) -> dict:
     """The sum of c * d at g over the pairs (e, c) of ``left`` and (f, d)
-    of ``right`` with sign * key(e) + key(f) = key(g) for an in-range g:
-    the cup product for sign 1 (g = e + f), the cap product for sign -1
-    (g = f - e)."""
-    keys, expos = packed_keys(space)
+    of ``right`` with sign * key(e) + key(f) = key(g) for a tuple g of the
+    ``packed_keys`` table: the product for sign 1 (g = e + f), the cap
+    product for sign -1 (g = f - e).  Every tuple of ``left`` and
+    ``right`` must be in the table."""
+    keys, expos = table
     right_keys = [(keys[f], d) for f, d in right.items()]
     out: dict = {}
     for e, c in left.items():
@@ -131,7 +138,7 @@ def packed_pairs(space: Space, left: dict, right: dict, sign: int) -> dict:
         for kf, d in right_keys:
             g = expos.get(k + kf)
             if g is None:
-                continue  # some z_t^(n_t + 1) divides the product
+                continue  # out of the box, or above the table's degree
             p = c * d
             prev = out.get(g)
             out[g] = p if prev is None else prev + p
@@ -228,7 +235,12 @@ class SparseClass:
         return self + (-other)
 
     def __mul__(self, other):
-        """Scaling by a coefficient."""
+        """The product with a class of the same kind, which drops the terms
+        above ``_top_degree``, or scaling by a coefficient."""
+        if type(other) is type(self):
+            self._check(other)
+            table = packed_keys(self.space, self._top_degree())
+            return self._like(packed_pairs(table, self.terms, other.terms, 1))
         if not isinstance(other, (int, Fraction, RingElem)):
             return NotImplemented
         if isinstance(other, RingElem) and other.ring != self.ring:
@@ -236,6 +248,10 @@ class SparseClass:
         return self._like({e: c * other for e, c in self.terms.items()})
 
     __rmul__ = __mul__
+
+    def _top_degree(self) -> int:
+        """The total degree above which a product drops terms."""
+        raise TypeError("%s classes have no product" % type(self).__name__)
 
     def cross(self, other):
         """External product on the product space (factors concatenated)."""
@@ -316,14 +332,11 @@ class CohClass(SparseClass):
         expo = tuple(1 if i == t else 0 for i in range(space.nfactors))
         return CohClass.monomial(space, ring, expo)
 
-    def __mul__(self, other):
-        """Cup product, or scaling by a coefficient."""
-        if not isinstance(other, CohClass):
-            return super().__mul__(other)
-        self._check(other)
-        return self._like(packed_pairs(self.space, self.terms, other.terms, 1))
+    # cup product or scaling, bound here too so that it is told apart from series products
+    __mul__ = __rmul__ = SparseClass.__mul__
 
-    __rmul__ = __mul__
+    def _top_degree(self) -> int:
+        return self.space.total_dim
 
     def __pow__(self, n: int) -> "CohClass":
         out = CohClass.one(self.space, self.ring)

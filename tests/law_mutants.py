@@ -3,12 +3,18 @@ coefficient changed."""
 
 from orient_duality.fgl import FGL
 
+# the kinds of derived data (``FGL.derived``) a mutant may keep: those that
+# follow from the logarithm, and those built from the diagonal kernels
+LOG_KINDS = ("log", "exp", "pn_class", "fundamental_class")
+KERNEL_KINDS = ("kernel", "diagonal_class")
+
 
 def with_flipped_coefficient(F: FGL, i: int, j: int, *, keep_log: bool = True, keep_kernels: bool = True) -> FGL:
     """A copy of ``F`` with the sign of a(i,j) flipped, optionally keeping
-    derived caches from the original.  Kept caches are copied, so nothing
-    the copy computes later reaches the original.  The formal inverse and the
-    m-series derive from the table, so they are never kept.  Fundamental
+    derived data from the original by kind.  The kept entries are copied
+    into a memo of the copy's own, so nothing the copy computes later
+    reaches the original.  The formal inverse, the m-series and the axiom
+    witness derive from the table, so they are never kept.  Fundamental
     classes are kept with the logarithm (they are products of point
     classes), diagonal classes with the kernels they are built from.
 
@@ -20,13 +26,5 @@ def with_flipped_coefficient(F: FGL, i: int, j: int, *, keep_log: bool = True, k
     coeffs = dict(F.coeffs)
     old = coeffs.get((i, j), F.ring.zero())
     coeffs[(i, j)] = -old
-    mutated = FGL(F.ring, F.truncation, coeffs)
-    if keep_log:
-        mutated._log = F._log
-        mutated._exp = F._exp
-        mutated._pn = dict(F._pn)
-        mutated._fundamental_cache = dict(F._fundamental_cache)
-    if keep_kernels:
-        mutated._kernel_cache = dict(F._kernel_cache)
-        mutated._diagonal_cache = dict(F._diagonal_cache)
-    return mutated
+    kept = (LOG_KINDS if keep_log else ()) + (KERNEL_KINDS if keep_kernels else ())
+    return FGL(F.ring, F.truncation, coeffs, {k: v for k, v in F._memo.items() if k[0] in kept})

@@ -1,10 +1,14 @@
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orient_duality.algebra import CoeffRing
-from orient_duality.cli import main, parse_morphism
+from orient_duality.algebra import CoeffRing, RingKind
+from orient_duality.cli import _parse_class_json, main, parse_morphism
 from orient_duality.errors import ParseError
+from orient_duality.homodual import HomClass
 from orient_duality.spaces import CohClass, Space
 
 KERNEL_P2_ADDITIVE = {
@@ -274,6 +278,82 @@ def test_embed_token_requires_growth():
         parse_morphism("embed(0,1)", Space((2,)))
 
 
+# -- parser fuzzing -------------------------------------------------------------
+
+FUZZ_SPACES = tuple(Space.parse(s) for s in ("pt", "P0", "P1", "P2", "P1xP1", "P2xP1"))
+FUZZ_RINGS = tuple(CoeffRing.for_kind(kind, 4) for kind in RingKind)
+
+# Text from the morphism grammar's tokens: ';'-joined chunks that are whole
+# calls or token soup, so that well-formed chains and malformed ones mix.
+_CALL = st.tuples(
+    st.sampled_from(["proj", "embed", "diag", "perm"]),
+    st.lists(st.one_of(st.integers(0, 2), st.integers(-1, 4)).map(str), max_size=3).map(",".join),
+).map(lambda t: "%s(%s)" % t)
+_SOUP = st.lists(
+    st.sampled_from(list("(),;- 0123456789") + ["proj", "embed", "diag", "perm"]), max_size=8
+).map("".join)
+_MORPHISM_TEXT = st.lists(st.one_of(_CALL, _CALL, _CALL, _SOUP), min_size=1, max_size=3).map(";".join)
+
+
+@given(space=st.sampled_from(FUZZ_SPACES), text=_MORPHISM_TEXT)
+@settings(max_examples=500, deadline=None)
+def test_parse_morphism_fuzz_rejects_or_roundtrips(space, text):
+    try:
+        f = parse_morphism(text, space)
+    except ParseError:
+        return
+    assert f.source == space
+    assert parse_morphism(f.render(), space) == f
+
+
+# JSON values built from lists, objects, true, null, numbers and strings
+# under the literal's keys, with well-formed terms mixed in.
+_JSON_KEYS = st.sampled_from(["terms", "values", "zeta", "coeff"])
+_JSON_LEAF = st.one_of(
+    st.none(),
+    st.just(True),
+    st.integers(-2, 3),
+    st.sampled_from([1.5, 2.0, -0.0]),
+    st.sampled_from(["1", "-2", "1/2", "0/1", "beta", "b1", "b2 - 3*b1^2", "q7", "", "[1]"]),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _class_json(space: Space, key: str):
+    # exponent lists of the space's length, one past the top included, and
+    # ring literals that parse in every ring, each drawn more often than junk
+    fitting = st.tuples(*(st.integers(0, n + 1) for n in space.factors)).map(list)
+    good = st.sampled_from(["1", "-2", "2 - 1", "3/3"])
+    term = st.fixed_dictionaries({
+        "zeta": st.one_of(fitting, fitting, fitting, st.lists(_JSON_LEAF, max_size=3)),
+        "coeff": st.one_of(good, good, good, _JSON_LEAF),
+    })
+    value = st.recursive(
+        st.one_of(_JSON_LEAF, term),
+        lambda kids: st.one_of(st.lists(kids, max_size=3), st.dictionaries(_JSON_KEYS, kids, max_size=3)),
+        max_leaves=8,
+    )
+    literal = st.fixed_dictionaries({key: st.lists(term, max_size=3)})
+    mixed = st.dictionaries(_JSON_KEYS, st.lists(st.one_of(term, value), max_size=4), min_size=1)
+    return st.one_of(value, mixed, literal, literal).map(json.dumps)
+
+
+_CLASS_CASES = st.tuples(
+    st.sampled_from(FUZZ_SPACES), st.sampled_from(FUZZ_RINGS), st.sampled_from([CohClass, HomClass])
+).flatmap(lambda c: st.tuples(*map(st.just, c), _class_json(c[0], c[2]._JSON_KEY)))
+
+
+@given(case=_CLASS_CASES)
+@settings(max_examples=500, deadline=None)
+def test_class_json_fuzz_rejects_or_roundtrips(case):
+    space, ring, cls, text = case
+    try:
+        x = cls.from_json_obj(space, ring, _parse_class_json(text))
+    except ParseError:
+        return
+    assert cls.from_json_obj(space, ring, x.to_json_obj()) == x
+
+
 # -- exit codes ---------------------------------------------------------------
 
 
@@ -314,6 +394,16 @@ def test_exit_2_on_unknown_check(capsys):
         "--truncation", "4", "--checks", "V99-bogus",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("checks", ["", " , "])
+def test_exit_2_on_empty_check_ids(capsys, checks):
+    # an empty --checks names the empty id; it does not mean "all checks"
+    code, out, err = _run(
+        capsys, "verify", "--theory", "additive", "--space", "P1", "--checks", checks
+    )
+    assert code == 2
+    assert "unknown check ids: ['']" in err and not out
 
 
 def test_exit_2_on_bad_samples(capsys):

@@ -6,6 +6,7 @@ import sympy
 from orient_duality.algebra import CoeffRing, RingElem, RingKind
 from orient_duality.errors import (
     InternalConsistencyError,
+    SpaceMismatchError,
     TruncationUnsoundError,
 )
 from orient_duality.fgl import (
@@ -309,6 +310,11 @@ def test_axioms_report_inconsistent_inverse(monkeypatch):
 # -- memoised derived series -------------------------------------------------
 
 
+def memo_args(law, kind):
+    """The arguments of the memoised data of one kind."""
+    return {arg for k, arg in law._memo if k == kind}
+
+
 def test_derived_series_are_memoised():
     law = multiplicative_law(6)
     assert law.m_series(-2) is law.m_series(-2)
@@ -316,13 +322,13 @@ def test_derived_series_are_memoised():
     assert law.inverse() is law.inverse()
     assert law.exp() is law.exp()
     # [3] was built through [1] and [2]
-    assert set(law._m_series) == {-2, 1, 2, 3}
+    assert memo_args(law, "m_series") == {-2, 1, 2, 3}
 
 
 def test_universal_law_reuses_construction_exp():
     law = universal_law(5)
-    assert law._exp is not None
-    assert law.exp() is law._exp
+    assert memo_args(law, "exp") == {None}
+    assert law.exp() is law._memo[("exp", None)]
     assert law.exp() == law.log().reversion()
 
 
@@ -332,8 +338,9 @@ def test_mutant_m_series_recomputed_from_own_table():
     law.exp()
     old = law.m_series(-1)
     mut = with_flipped_coefficient(law, 1, 1)  # keep_log: log and exp are kept
-    assert mut._log is law._log and mut._exp is law._exp
-    assert mut._inverse is None and mut._m_series == {}
+    for kind in ("log", "exp"):
+        assert mut._memo[(kind, None)] is law._memo[(kind, None)]
+    assert not memo_args(mut, "inverse") and not memo_args(mut, "m_series")
     # the flipped law x + y + beta*x*y has [-1](x) = -x / (1 + beta*x)
     beta = law.ring.gen(0)
     got = mut.m_series(-1)
@@ -341,7 +348,7 @@ def test_mutant_m_series_recomputed_from_own_table():
     for d in range(1, 7):
         assert got[d] == -((-beta) ** (d - 1))
     fresh = with_flipped_coefficient(law, 1, 1, keep_log=False)
-    assert fresh._log is None and fresh._exp is None
+    assert not memo_args(fresh, "log") and not memo_args(fresh, "exp")
 
 
 def test_mutant_kernels_do_not_leak_into_original():
@@ -354,7 +361,7 @@ def test_mutant_kernels_do_not_leak_into_original():
     mut = with_flipped_coefficient(law, 1, 1, keep_log=False)
     assert kernel(mut, 1) is kernel(law, 1)
     kernel(mut, 3)
-    assert 3 not in law._kernel_cache
+    assert 3 not in memo_args(law, "kernel")
     assert kernel(law, 3).K == kernel(multiplicative_law(6), 3).K
 
 
@@ -486,3 +493,16 @@ def test_series_is_a_one_variable_nilpoly():
         s * flat
     with pytest.raises(TypeError):
         s + flat
+
+
+def test_nilpoly_rejects_malformed_tuples():
+    # the shared product looks every tuple up in a table of in-range keys,
+    # so the constructor checks tuples as the cohomology constructor does
+    ring = CoeffRing.multiplicative(3)
+    sp, c = Space((3, 3)), ring.one()
+    with pytest.raises(SpaceMismatchError, match="does not fit P3xP3"):
+        NilPoly(sp, ring, {(1,): c, (0, 1): c})
+    with pytest.raises(ValueError, match="negative exponent"):
+        NilPoly(sp, ring, {(-1, 2): c})
+    # well-formed tuples above the total degree are still dropped
+    assert NilPoly(sp, ring, {(2, 2): c, (1, 2): c}).terms == {(1, 2): c}

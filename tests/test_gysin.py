@@ -293,7 +293,7 @@ def test_diagonal_class_cached(laws):
     law = laws["universal"]
     sq = Space((2, 1))
     assert diagonal_kernel_class(sq, law) is diagonal_kernel_class(sq, law)
-    assert sq in law._diagonal_cache
+    assert ("diagonal_class", sq) in law._memo
 
 
 def test_mutant_caches_follow_their_flags():
@@ -307,9 +307,11 @@ def test_mutant_caches_follow_their_flags():
     assert diagonal_kernel_class(sq, stale) is K
     assert fundamental_class(sq, stale) is X
     only_kernels = with_flipped_coefficient(law, 1, 1, keep_log=False)
-    assert sq in only_kernels._diagonal_cache and sq not in only_kernels._fundamental_cache
+    assert ("diagonal_class", sq) in only_kernels._memo
+    assert ("fundamental_class", sq) not in only_kernels._memo
     only_log = with_flipped_coefficient(law, 1, 1, keep_kernels=False)
-    assert sq in only_log._fundamental_cache and sq not in only_log._diagonal_cache
+    assert ("fundamental_class", sq) in only_log._memo
+    assert ("diagonal_class", sq) not in only_log._memo
 
 
 def test_fresh_mutant_rebuilds_diagonal_and_fundamental_classes():

@@ -87,9 +87,16 @@ def test_container_kinds_never_mix(mult):
                     x - y
                 with pytest.raises(TypeError):
                     x.cross(y)
+                with pytest.raises(TypeError):
+                    x * y
     assert CohClass.zero(sp, mult.ring) != HomClass.zero(sp, mult.ring)
-    # the products between the sides take a cohomology and a homology class
+    # the shared product serves cohomology and scratch polynomials only
     coh, hom, nil = kinds
+    assert coh * coh == CohClass(sp, mult.ring, {(2, 0): one, (1, 1): 2 * one, (0, 2): one})
+    assert nil * nil == NilPoly(sp, mult.ring, {(2, 0): one, (1, 1): 2 * one, (0, 2): one})
+    with pytest.raises(TypeError):
+        hom * hom
+    # the products between the sides take a cohomology and a homology class
     for product in (pair, cap, slant_l, slant_r):
         assert product(coh, hom) is not None
         for x, y in ((coh, coh), (hom, hom), (hom, coh), (nil, hom), (coh, nil)):

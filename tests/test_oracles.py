@@ -1,12 +1,15 @@
 """The product kernels against their defining formulas.
 
-``RingElem`` arithmetic, ``CohClass.__mul__``, ``cap``, ``pushforward_hom``
-and ``shriek_hom`` compute by packed exponent keys and per-shape transpose
-formulas.  The oracles below are their definitions, evaluated the slow way:
+``RingElem`` arithmetic, ``CohClass.__mul__``, ``cap``, the ``NilPoly``
+product, ``pushforward_hom`` and ``shriek_hom`` compute by packed exponent
+keys and per-shape transpose formulas.  The oracles below are their
+definitions, evaluated the slow way:
 
 * ring sums and products loop over exponent tuples, truncate by summing
   each monomial's degree and canonicalise term by term;
 * cup and cap loop over pairs of exponent tuples;
+* the scratch-polynomial product loops over pairs of exponent tuples and
+  drops a pair by the sum of its total degrees;
 * (f_* a)(z^e) = a(f^* z^e) for every basis monomial of the target;
 * (f^! a)(z^e) = <f_!(z^e), a> for every basis monomial of the source.
 
@@ -24,7 +27,7 @@ from hypothesis import strategies as st
 
 from orient_duality.algebra import CoeffRing, RingElem, RingKind
 from orient_duality.errors import RingMismatchError
-from orient_duality.fgl import law_for
+from orient_duality.fgl import NilPoly, Series, law_for
 from orient_duality.gysin import pushforward_coh
 from orient_duality.homodual import HomClass, cap, pair, pushforward_hom, shriek_hom
 from orient_duality.spaces import (
@@ -116,6 +119,22 @@ def naive_cap(alpha: CohClass, a: HomClass) -> HomClass:
             prev = values.get(b_expo)
             values[b_expo] = contrib if prev is None else prev + contrib
     return HomClass(alpha.space, alpha.ring, values)
+
+
+def naive_nilpoly_product(x: NilPoly, y: NilPoly) -> NilPoly:
+    """The product pruned by total degree, pair by pair."""
+    bound = x.space.factors[0]
+    terms: dict = {}
+    for e1, c1 in x.terms.items():
+        d1 = sum(e1)
+        for e2, c2 in y.terms.items():
+            if d1 + sum(e2) > bound:
+                continue
+            expo = tuple(a + b for a, b in zip(e1, e2))
+            c = c1 * c2
+            prev = terms.get(expo)
+            terms[expo] = c if prev is None else prev + c
+    return type(x)(x.space, x.ring, terms)
 
 
 def oracle_pushforward_hom(f, a: HomClass) -> HomClass:
@@ -310,3 +329,38 @@ def test_universal_truncation_boundary(N):
     assert not RingElem(ring, {(N + 1,) + (0,) * (N - 2): 1})
     half = b1 ** N * Fraction(1, 2)
     assert typed((half + half).terms) == {(N,) + (0,) * (N - 2): (int, 1)}
+
+
+# -- scratch polynomials against the pair-by-pair product -------------------------
+
+NIL_RINGS = tuple(CoeffRing.for_kind(kind, 4) for kind in KINDS)
+
+
+@st.composite
+def nil_terms(draw, ring: CoeffRing, nvars: int, bound: int):
+    """Terms on the simplex of total degree <= bound, most of them of high
+    degree, so that many products leave the simplex."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        degree = draw(st.one_of(st.integers(0, bound), st.integers(bound // 2, bound)))
+        expo = [0] * nvars
+        for _ in range(degree):
+            expo[draw(st.integers(0, nvars - 1))] += 1
+        c = ring.from_coeff(draw(st.integers(-3, 3)))
+        g = draw(st.integers(-1, ring.nsymbols - 1))
+        terms[tuple(expo)] = c if g < 0 else c * ring.gen(g)
+    return terms
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_nilpoly_product_matches_pair_loop(data):
+    ring = data.draw(st.sampled_from(NIL_RINGS))
+    nvars = data.draw(st.integers(1, 3))
+    bound = data.draw(st.integers(1, 10))
+    cls = Series if nvars == 1 and data.draw(st.booleans()) else NilPoly
+    space = Space((bound,) * nvars)
+    x = cls(space, ring, data.draw(nil_terms(ring, nvars, bound)))
+    y = cls(space, ring, data.draw(nil_terms(ring, nvars, bound)))
+    assert x * y == naive_nilpoly_product(x, y)
+    assert x * x == naive_nilpoly_product(x, x)
