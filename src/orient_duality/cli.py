@@ -11,7 +11,8 @@ dualize      apply a duality map (to-hom / to-coh)
 verify       run the identity verification suite
 
 Exit status: 0 success (all checks passed), 1 check or consistency
-failure, 2 usage or parse error, 3 refused as truncation-unsound.
+failure, 2 usage or parse error, 3 refused as truncation-unsound (this
+includes any universal truncation above ``MAX_UNIVERSAL_TRUNCATION``).
 
 Morphism literals are chains of primitive tokens joined by ';', composed
 right to left (the rightmost token applies first, with ``--space`` as its
@@ -31,6 +32,7 @@ import argparse
 import json
 import re
 import sys
+from functools import lru_cache
 
 from .algebra import CoeffRing, RingKind
 from .errors import (
@@ -56,6 +58,11 @@ from .spaces import (
     euler,
 )
 from .verify import CheckConfig, reports_to_json, reports_to_table, run_suite
+
+# The universal law's build grows about sixfold per five degrees of
+# truncation; above this bound a query is refused instead of running for
+# minutes (no documented query needs more than 10).
+MAX_UNIVERSAL_TRUNCATION = 20
 
 _MORPHISM_TOKEN = re.compile(r"^(proj|embed|diag|perm)\(([-0-9,\s]*)\)$")
 
@@ -150,12 +157,22 @@ def _chain_spaces(f: Morphism) -> list[Space]:
     return [f.source, f.target]
 
 
+def _checked_truncation(kinds, trunc: int) -> int:
+    """``trunc``, unless a universal law would be built at a truncation
+    above ``MAX_UNIVERSAL_TRUNCATION``."""
+    if RingKind.UNIVERSAL in kinds and trunc > MAX_UNIVERSAL_TRUNCATION:
+        raise TruncationUnsoundError(
+            "universal truncation %d is above the limit of %d" % (trunc, MAX_UNIVERSAL_TRUNCATION)
+        )
+    return trunc
+
+
 def _law(args, space: Space | None):
     kind = RingKind.parse(args.theory)
     trunc = args.truncation
     if trunc is None:
         trunc = _default_truncation(space) if space is not None else 8
-    return law_for(kind, trunc)
+    return law_for(kind, _checked_truncation((kind,), trunc))
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -247,6 +264,7 @@ def _cmd_verify(args) -> int:
     trunc = args.truncation
     if trunc is None:
         trunc = max(s.total_dim for s in spaces) + 1
+    trunc = _checked_truncation(kinds, trunc)
     checks = None
     if args.checks is not None:  # an empty list names the empty check id
         checks = tuple(c.strip() for c in args.checks.split(","))
@@ -357,11 +375,19 @@ def _option_strings(parser: argparse.ArgumentParser) -> tuple[set, set]:
     return known, valued
 
 
-def _attach_dash_values(parser: argparse.ArgumentParser, argv: list) -> list:
+@lru_cache(maxsize=1)
+def _parser() -> tuple[argparse.ArgumentParser, set, set]:
+    """The parser and its option-string tables, built once per process:
+    parsing leaves the parser unchanged."""
+    parser = build_parser()
+    return (parser,) + _option_strings(parser)
+
+
+def _attach_dash_values(argv: list) -> list:
     """Join ``--opt -v`` into ``--opt=-v`` when ``-v`` is not an option, so
     values such as ``-1,2`` or ``-b1`` reach the option instead of being
     read as an unknown option."""
-    known, valued = _option_strings(parser)
+    _, known, valued = _parser()
     out, i = [], 0
     while i < len(argv):
         tok = argv[i]
@@ -382,10 +408,9 @@ def _attach_dash_values(parser: argparse.ArgumentParser, argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_attach_dash_values(parser, list(argv)))
+    args = _parser()[0].parse_args(_attach_dash_values(list(argv)))
     try:
         return args.func(args)
     except ParseError as exc:

@@ -31,8 +31,11 @@ turn), which follows from the shape's pullback and Gysin map:
 * ``Permutation``: f_* reorders tuples; f^! = (f^-1)_*.
 
 ``fundamental_class`` is kept in the law's memo (``FGL.derived``); ``cap``
-runs the cup product's pair loop ``spaces.packed_pairs`` with the keys of
-alpha negated, and ``cross_hom`` is the shared external product.
+runs the cup product's kernel ``spaces.packed_pairs`` with the keys of
+alpha negated: each term e of alpha walks the box b <= n - e and looks a
+up at b + e, or tests every value of a where a has fewer values than that
+box, and sums the coefficient products of each b once.  ``cross_hom`` is
+the shared external product.
 
 The projective bundle decomposition is realised by ``psi``/``pbt_section``
 for projections that drop a single factor.
@@ -53,7 +56,6 @@ from .spaces import (
     Space,
     SparseClass,
     basis,
-    packed_keys,
     packed_pairs,
 )
 
@@ -235,8 +237,7 @@ def cap(alpha: CohClass, a: HomClass) -> HomClass:
     """(alpha cap a)(beta) = a(beta * alpha): a at v picks up beta = v - e."""
     _check_kinds(alpha, a)
     alpha._check(a)
-    table = packed_keys(alpha.space, alpha.space.total_dim)
-    return a._like(packed_pairs(table, alpha.terms, a.terms, -1))
+    return a._like(packed_pairs(alpha, a, alpha.space.total_dim, -1))
 
 
 def cross_hom(a: HomClass, b: HomClass) -> HomClass:

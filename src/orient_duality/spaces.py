@@ -15,11 +15,17 @@ JSON literals and the external product.  Each subclass constructor keeps
 its own range rule; ``CohClass`` drops out-of-bound exponents (the quotient
 relations), so equal classes always have equal term maps.
 
-Cup, cap and series products share one pair loop, ``packed_pairs``, over a
+Cup, cap and series products share one kernel, ``packed_pairs``, over a
 table of packed keys (``packed_keys``: the box, or a simplex for ``fgl``):
 each tuple e is the integer sum e_t * R_t with R_t = prod_(s<t) (2 n_s + 1),
-so adding or subtracting two tuples is one integer operation and one
-dictionary lookup decides whether the result is in the table.
+so adding or subtracting two tuples is one integer operation.  On the box
+each term e of the left operand walks only the tuples b <= n - e, from two
+cached halves of the factors, and looks the right operand up by key; where
+the right operand has fewer terms than that box, and on a simplex, it
+tests every pair by one lookup in the table instead (after Monagan and
+Pearce's sparse products, which touch only the monomials that survive).
+The coefficient products of one output tuple are summed into one raw
+ring-key map, which is canonicalised and wrapped once.
 
 Morphisms come in four generator shapes plus composites:
 
@@ -38,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import CoeffRing, RingElem
+from .algebra import CoeffRing, RingElem, _canonical, _wrap
 from .errors import (
     ParseError,
     RingMismatchError,
@@ -124,25 +130,84 @@ def packed_keys(space: Space, total: int) -> tuple[dict, dict]:
     return {e: k for e, k, _ in rows}, {k: e for e, k, _ in rows}
 
 
-def packed_pairs(table: tuple[dict, dict], left: dict, right: dict, sign: int) -> dict:
+@lru_cache(maxsize=1024)
+def _half_box(space: Space, lo: int, part: tuple[int, ...]) -> tuple[int, ...]:
+    """The keys sum_t b_t * R_t over 0 <= b_t <= n_t - part_t for the
+    factors t = lo .. lo + len(part) - 1: one half of the box b <= n - e,
+    whose other half has the remaining factors.  Shared: do not modify."""
+    radix = 1
+    for n in space.factors[:lo]:
+        radix *= 2 * n + 1
+    out = [0]
+    for n, x in zip(space.factors[lo:], part):
+        out = [k + i * radix for i in range(n - x + 1) for k in out]
+        radix *= 2 * n + 1
+    return tuple(out)
+
+
+def packed_pairs(left: "SparseClass", right: "SparseClass", total: int, sign: int) -> dict:
     """The sum of c * d at g over the pairs (e, c) of ``left`` and (f, d)
     of ``right`` with sign * key(e) + key(f) = key(g) for a tuple g of the
-    ``packed_keys`` table: the product for sign 1 (g = e + f), the cap
-    product for sign -1 (g = f - e).  Every tuple of ``left`` and
-    ``right`` must be in the table."""
-    keys, expos = table
-    right_keys = [(keys[f], d) for f, d in right.items()]
+    ``packed_keys(space, total)`` table: the product for sign 1
+    (g = e + f), the cap product for sign -1 (g = f - e).  Both classes
+    are on one space over one ring (the caller checks), and every tuple of
+    theirs is in the table.  Returns the nonzero coefficients by tuple.
+
+    On the whole box each term e of ``left`` walks the tuples b <= n - e,
+    the sums of two cached halves (``_half_box``), and looks ``right`` up
+    by key: at b for the product (g = e + b), at b + e for the cap product
+    (g = b).  Where ``right`` has fewer terms than that box, and on the
+    simplex tables of ``fgl``, it tests every pair instead.  The
+    coefficient products are fused: each g sums c * d into one raw
+    ring-key map, truncated as ``RingElem`` products are, and is
+    canonicalised and wrapped once at the end."""
+    if not left.terms or not right.terms:
+        return {}
+    space, ring = left.space, left.ring
+    keys, expos = packed_keys(space, total)
+    limit = ring._limit if ring._limit is not None else float("inf")
+    # ascending ring keys let the truncated product stop at the limit
+    by_key = {keys[f]: sorted(d._t.items()) for f, d in right.terms.items()}
+    find = by_key.get
+    walk = total == space.total_dim
+    half = space.nfactors // 2
     out: dict = {}
-    for e, c in left.items():
-        k = sign * keys[e]
-        for kf, d in right_keys:
-            g = expos.get(k + kf)
-            if g is None:
-                continue  # out of the box, or above the table's degree
-            p = c * d
-            prev = out.get(g)
-            out[g] = p if prev is None else prev + p
-    return out
+    for e, c in left.terms.items():
+        ke = keys[e]
+        if walk:
+            low, high = _half_box(space, 0, e[:half]), _half_box(space, half, e[half:])
+        if walk and len(low) * len(high) <= len(by_key):
+            at, to = (0, ke) if sign > 0 else (ke, 0)
+            hits = [
+                (kh + kl + to, d)
+                for kh in high
+                for kl in low
+                if (d := find(kh + kl + at)) is not None
+            ]
+        else:
+            shift = sign * ke
+            hits = [(g, d) for kf, d in by_key.items() if (g := kf + shift) in expos]
+        terms = c._t.items()
+        for g, d in hits:
+            acc = out.get(g)
+            if acc is None:
+                acc = out[g] = {}
+            for k1, c1 in terms:
+                room = limit - k1
+                for k2, c2 in d:
+                    if k2 >= room:
+                        break
+                    k = k1 + k2
+                    if k in acc:
+                        acc[k] += c1 * c2
+                    else:
+                        acc[k] = c1 * c2
+    result = {}
+    for g, acc in out.items():
+        acc = _canonical(acc)
+        if acc:
+            result[expos[g]] = _wrap(ring, acc)
+    return result
 
 
 def parse_exponents(space: Space, raw, what: str) -> tuple[int, ...]:
@@ -239,8 +304,7 @@ class SparseClass:
         above ``_top_degree``, or scaling by a coefficient."""
         if type(other) is type(self):
             self._check(other)
-            table = packed_keys(self.space, self._top_degree())
-            return self._like(packed_pairs(table, self.terms, other.terms, 1))
+            return self._like(packed_pairs(self, other, self._top_degree(), 1))
         if not isinstance(other, (int, Fraction, RingElem)):
             return NotImplemented
         if isinstance(other, RingElem) and other.ring != self.ring:

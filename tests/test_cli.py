@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orient_duality.algebra import CoeffRing, RingKind
-from orient_duality.cli import _parse_class_json, main, parse_morphism
+from orient_duality.cli import MAX_UNIVERSAL_TRUNCATION, _parse_class_json, main, parse_morphism
 from orient_duality.errors import ParseError
 from orient_duality.homodual import HomClass
 from orient_duality.spaces import CohClass, Space
@@ -425,6 +425,32 @@ def test_exit_3_on_unsound_truncation(capsys):
     )
     assert code == 3
     assert "truncation" in err
+
+
+@pytest.mark.parametrize(
+    "argv, requested",
+    [
+        (["pushforward", "--space", "P1", "--morphism", "embed(0,99999)", "--class", '{"terms":[]}'], 100000),
+        (["kernel", "--space", "P1", "--truncation", "21"], 21),
+        (["verify", "--space", "P1", "--truncation", "21"], 21),
+    ],
+    ids=["pushforward-embed", "kernel", "verify"],
+)
+def test_exit_3_on_runaway_universal_truncation(capsys, argv, requested):
+    # refused before any law is built, so even a huge target space returns at once
+    code, out, err = _run(capsys, *argv[:1], "--theory", "universal", *argv[1:])
+    assert code == 3 and not out
+    assert err == "error: universal truncation %d is above the limit of %d\n" % (
+        requested, MAX_UNIVERSAL_TRUNCATION
+    )
+
+
+def test_universal_truncation_limit_is_inclusive(capsys):
+    code, out, _ = _run(
+        capsys, "kernel", "--theory", "universal", "--space", "P0",
+        "--truncation", str(MAX_UNIVERSAL_TRUNCATION),
+    )
+    assert code == 0 and out == "1\n"
 
 
 def test_exit_1_on_failing_check(capsys, monkeypatch):

@@ -2,11 +2,12 @@
 
 The digests pin the exact bytes the calculator prints, so a change that
 only means to make it faster cannot alter an answer unnoticed.  Most
-commands print class values; the three ``verify`` runs pin the report
+commands print class values; the four ``verify`` runs pin the report
 format and the witnesses' absence (the universal grid at truncation 10
-holds the deepest series work); the two ``ring --parse`` runs pin the
-term order of rendered ring elements.  A deliberate change of output must
-update the digest here and say why.
+holds the deepest series work, P3xP3xP3 the largest products on X x X);
+the two ``ring --parse`` runs pin the term order of rendered ring
+elements.  A deliberate change of output must update the digest here and
+say why.
 """
 
 import hashlib
@@ -48,6 +49,13 @@ GOLDEN = [
             "--samples", "1", "--format", "json",
         ],
         "9aa3faaf7028610da3a895551972c3bdc0bf36c154510cb7236e6ac2f7eb79db",
+    ),
+    (
+        [
+            "verify", "--theory", "multiplicative", "--space", "P3xP3xP3",
+            "--samples", "1", "--format", "json",
+        ],
+        "e37167404380446876a82d13a5111f2a4789d1715db35a01ab19d6d69e0b5202",
     ),
     (
         [
@@ -99,6 +107,7 @@ GOLDEN = [
 GOLDEN_IDS = [
     "verify-defaults",
     "verify-cube",
+    "verify-multiplicative-P3xP3xP3",
     "verify-universal-grid",
     "kernel-universal-P2xP2",
     "fundamental-universal-P2xP3",

@@ -7,7 +7,9 @@ definitions, evaluated the slow way:
 
 * ring sums and products loop over exponent tuples, truncate by summing
   each monomial's degree and canonicalise term by term;
-* cup and cap loop over pairs of exponent tuples;
+* cup and cap loop over pairs of exponent tuples, and over pairs of packed
+  keys (``naive_packed_pairs``, the product loop before it walked only
+  the box of each term);
 * the scratch-polynomial product loops over pairs of exponent tuples and
   drops a pair by the sum of its total degrees;
 * (f_* a)(z^e) = a(f^* z^e) for every basis monomial of the target;
@@ -30,6 +32,7 @@ from orient_duality.errors import RingMismatchError
 from orient_duality.fgl import NilPoly, Series, law_for
 from orient_duality.gysin import pushforward_coh
 from orient_duality.homodual import HomClass, cap, pair, pushforward_hom, shriek_hom
+from orient_duality import spaces
 from orient_duality.spaces import (
     CohClass,
     Diagonal,
@@ -39,6 +42,7 @@ from orient_duality.spaces import (
     Space,
     basis,
     compose,
+    packed_keys,
 )
 from orient_duality.verify import sample_class, sample_hom
 
@@ -119,6 +123,25 @@ def naive_cap(alpha: CohClass, a: HomClass) -> HomClass:
             prev = values.get(b_expo)
             values[b_expo] = contrib if prev is None else prev + contrib
     return HomClass(alpha.space, alpha.ring, values)
+
+
+def naive_packed_pairs(table: tuple[dict, dict], left: dict, right: dict, sign: int) -> dict:
+    """The sum of c * d at g over every pair (e, c), (f, d) with
+    sign * key(e) + key(f) = key(g) for a tuple g of the table, one
+    ``RingElem`` product and sum per pair."""
+    keys, expos = table
+    right_keys = [(keys[f], d) for f, d in right.items()]
+    out: dict = {}
+    for e, c in left.items():
+        k = sign * keys[e]
+        for kf, d in right_keys:
+            g = expos.get(k + kf)
+            if g is None:
+                continue  # out of the box, or above the table's degree
+            p = c * d
+            prev = out.get(g)
+            out[g] = p if prev is None else prev + p
+    return out
 
 
 def naive_nilpoly_product(x: NilPoly, y: NilPoly) -> NilPoly:
@@ -364,3 +387,115 @@ def test_nilpoly_product_matches_pair_loop(data):
     y = cls(space, ring, data.draw(nil_terms(ring, nvars, bound)))
     assert x * y == naive_nilpoly_product(x, y)
     assert x * x == naive_nilpoly_product(x, x)
+
+
+# -- cup and cap on up to six factors against both pair loops ---------------------
+
+# universal at N = 3 drops b1 * b1^3 and b2 * b1^2 in products
+BOX_RINGS = (CoeffRing.additive(3), CoeffRing.multiplicative(3), CoeffRing.universal(3))
+MAX_BOX = 144  # e.g. P1xP2xP1xP1xP2xP1
+
+
+@st.composite
+def box_spaces(draw):
+    """Spaces of 0 to 6 factors of dimension 0 to 2 with at most MAX_BOX
+    basis tuples, as in P1xP2xP1xP1xP2xP1 or P0xP2."""
+    dims = draw(st.lists(st.sampled_from((0, 1, 1, 2)), max_size=6))
+    size = 1
+    for n in dims:
+        size *= n + 1
+    for t, n in enumerate(dims):
+        if size > MAX_BOX and n == 2:
+            dims[t], size = 1, size // 3 * 2
+    return Space(tuple(dims))
+
+
+@st.composite
+def box_coeffs(draw, ring: CoeffRing):
+    """Up to three monomials; universal ones of weight up to N."""
+    c = ring.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        scale = draw(COEFFS if ring.allows_fractions else st.integers(-3, 3))
+        term = ring.from_coeff(scale)
+        if ring.nsymbols and draw(st.booleans()):
+            expo = draw(monomials(ring)) if ring.kind is RingKind.UNIVERSAL else (draw(st.integers(0, 3)),)
+            term = term * RingElem(ring, {expo: 1})
+        c = c + term
+    return c
+
+
+@st.composite
+def box_terms(draw, ring: CoeffRing, space: Space):
+    """An empty operand, one monomial, a few terms or nearly every basis
+    tuple, so that both sides of the kernel's size switch run."""
+    tuples = basis(space)
+    shape = draw(st.sampled_from(("empty", "monomial", "sparse", "dense")))
+    if shape == "empty":
+        chosen = []
+    elif shape == "monomial":
+        chosen = [draw(st.sampled_from(tuples))]
+    elif shape == "sparse":
+        chosen = draw(st.lists(st.sampled_from(tuples), max_size=4))
+    else:
+        chosen = [e for e in tuples if draw(st.integers(0, 9))]
+    return {e: draw(box_coeffs(ring)) for e in chosen}
+
+
+def typed_class(x) -> dict:
+    return {e: typed(c.terms) for e, c in x.terms.items()}
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_box_walk_matches_pair_loops(data):
+    ring = data.draw(st.sampled_from(BOX_RINGS))
+    space = data.draw(box_spaces())
+    x = CohClass(space, ring, data.draw(box_terms(ring, space)))
+    y = CohClass(space, ring, data.draw(box_terms(ring, space)))
+    a = HomClass(space, ring, data.draw(box_terms(ring, space)))
+    table = packed_keys(space, space.total_dim)
+    cup = x * y
+    assert typed_class(cup) == typed_class(CohClass(space, ring, naive_packed_pairs(table, x.terms, y.terms, 1)))
+    assert cup == naive_cup(x, y)
+    capped = cap(x, a)
+    assert typed_class(capped) == typed_class(HomClass(space, ring, naive_packed_pairs(table, x.terms, a.terms, -1)))
+    assert capped == naive_cap(x, a)
+
+
+@pytest.mark.parametrize("product", ["cup", "cap"])
+def test_box_walk_looks_up_at_most_twice_per_surviving_pair(monkeypatch, product):
+    """Dense classes on P3xP3xP3 x P3xP3xP3: the kernel enumerates the box
+    of each term from two halves, so the keys it looks up are the products
+    of consecutive half sizes."""
+    space = Space((3,) * 6)
+    ring = CoeffRing.multiplicative(4)
+    x = CohClass(space, ring, {e: ring.from_coeff(1 + sum(e) % 3) for e in basis(space)})
+    y_terms = {e: ring.from_coeff(2 - sum(e) % 2) for e in basis(space)}
+    halves = []
+    half_box = spaces._half_box
+
+    def counted(*args):
+        keys = half_box(*args)
+        halves.append(len(keys))
+        return keys
+
+    monkeypatch.setattr(spaces, "_half_box", counted)
+    if product == "cup":
+        out = x * CohClass(space, ring, y_terms)
+    else:
+        out = cap(x, HomClass(space, ring, y_terms))
+    lookups = sum(lo * hi for lo, hi in zip(halves[::2], halves[1::2]))
+    # every term of both operands is nonzero: (e, f) survives iff e + f <= n
+    # for cup and f >= e for cap: prod_t (n_t - e_t + 1) pairs per e either way
+    surviving = 0
+    for e in x.terms:
+        box = 1
+        for n, et in zip(space.factors, e):
+            box *= n - et + 1
+        surviving += box
+    assert len(halves) == 2 * len(x.terms)
+    assert surviving <= lookups <= 2 * surviving
+    # positive coefficients: no output cancels; one corner has one pair
+    assert len(out.terms) == len(y_terms)
+    corner = (0,) * 6 if product == "cup" else space.factors
+    assert out.terms[corner] == x.terms[(0,) * 6] * y_terms[corner]
