@@ -59,9 +59,9 @@ from .spaces import (
 )
 from .verify import CheckConfig, reports_to_json, reports_to_table, run_suite
 
-# The universal law's build grows about sixfold per five degrees of
-# truncation; above this bound a query is refused instead of running for
-# minutes (no documented query needs more than 10).
+# Universal law work grows about sixfold per five degrees of truncation and
+# ring parsing quadratically; above this bound a query (``ring`` included) is
+# refused instead of running for minutes (no documented query needs > 10).
 MAX_UNIVERSAL_TRUNCATION = 20
 
 _MORPHISM_TOKEN = re.compile(r"^(proj|embed|diag|perm)\(([-0-9,\s]*)\)$")
@@ -180,7 +180,7 @@ def _law(args, space: Space | None):
 
 def _cmd_ring(args) -> int:
     kind = RingKind.parse(args.theory)
-    trunc = args.truncation if args.truncation is not None else 8
+    trunc = _checked_truncation((kind,), args.truncation if args.truncation is not None else 8)
     ring = CoeffRing.for_kind(kind, trunc)
     symbols = [
         {"name": name, "degree": deg}

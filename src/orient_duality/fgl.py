@@ -8,14 +8,20 @@ with i, j >= 1, i + j <= N and deg(a_ij) = 1 - i - j.  Three built-ins:
 * universal:       F = exp(log(x) + log(y))        over Q[b1..b{N-1}],
                    log(x) = x + b1*x^2 + ... + b{N-1}*x^N
 
+The additive and multiplicative laws are given by their tables.  The
+universal law is given by its logarithm alone: the point classes, and so
+the kernels, fundamental classes, duality maps and pushforwards, need
+nothing else, and its table is expanded only when F itself is evaluated
+(Euler classes, m-series, axiom checks).
+
 The scratch polynomials used for construction and axiom checking
 (``NilPoly``) are ``spaces.SparseClass`` classes on (P^N)^k truncated above
 total degree N: their products are the shared product over the tuples of
 total degree <= N.  A power series (``Series``) is the one-variable case,
 a class in A[x]/(x^(N+1)) on P^N; it adds dense coefficient access and
 composition, reversion and evaluation on nilpotent arguments.  Every
-stored coefficient is exact.  All data derived from a law is kept in one
-memo behind ``FGL.derived``.
+stored coefficient is exact.  All data derived from a law, its table
+included, is kept in one memo behind ``FGL.derived``.
 
 The logarithm of a law is solved degree by degree from the invariant
 differential, the linear-in-y slot of log(F(x, y)) = log(x) + log(y), and
@@ -29,7 +35,6 @@ g_n = (n + 1) * [x^(n+1)] log.  For the integer rings the values are
 proved integral before being returned.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -190,8 +195,7 @@ def apply_law(F: "FGL", p, q):
             cache[n] = base if n == 1 else power(base, cache, n - 1) * base
         return cache[n]
 
-    for (i, j) in sorted(F.coeffs):
-        a = F.coeffs[(i, j)]
+    for (i, j), a in sorted(F.coeffs.items()):
         pi = power(p, p_pows, i)
         if not pi:
             continue
@@ -204,14 +208,17 @@ def apply_law(F: "FGL", p, q):
     return out
 
 
-@dataclass(eq=False)
 class FGL:
     """A formal group law plus memoised derived data.
 
-    The coefficient table is immutable by convention.  Everything derived
-    from it is a pure function of the law, computed on first use and kept
-    in one memo keyed by (kind, argument) behind ``derived``:
+    A law is given by its coefficient table, or by its logarithm alone
+    (``memo={("log", None): log}``).  The table is immutable by
+    convention.  Everything derived from the law is a pure function of it,
+    computed on first use and kept in one memo keyed by (kind, argument)
+    behind ``derived``:
 
+    * ``"table"``: the coefficient table ``coeffs``, {(i, j): a_ij}; a
+      law given by its logarithm expands it on first read;
     * ``"log"``, ``"exp"``: the logarithm and its compositional inverse;
     * ``"inverse"``: the formal inverse iota with F(x, iota(x)) = 0;
     * ``"m_series"``: the m-fold formal sums [m](x), keyed by m;
@@ -224,10 +231,15 @@ class FGL:
       (``homodual``).
     """
 
-    ring: CoeffRing
-    truncation: int
-    coeffs: dict
-    _memo: dict = field(default_factory=dict, repr=False)
+    def __init__(self, ring: CoeffRing, truncation: int, coeffs: dict | None = None,
+                 memo: dict | None = None):
+        self.ring = ring
+        self.truncation = truncation
+        self._memo = dict(memo or {})
+        if coeffs is not None:
+            self._memo[("table", None)] = coeffs
+        elif ("log", None) not in self._memo:
+            raise ValueError("a law needs a coefficient table or a logarithm")
 
     def derived(self, kind: str, arg, build):
         """The datum (kind, arg) of this law; ``build()`` computes it on
@@ -236,6 +248,26 @@ class FGL:
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
+
+    @property
+    def coeffs(self) -> dict:
+        """The table {(i, j): a_ij} of the higher coefficients."""
+        return self.derived("table", None, self._table_from_log)
+
+    def _table_from_log(self) -> dict:
+        """F = exp(log(x) + log(y)) expanded into its table, which must be
+        in normal form and admit this law's logarithm."""
+        n, ring, log = self.truncation, self.ring, self.log()
+        lx = NilPoly.from_series(log, 2, n, 0)
+        ly = NilPoly.from_series(log, 2, n, 1)
+        coeffs = {}
+        for (i, j), c in _series_on_nilpoly(self.exp(), lx + ly).terms.items():
+            if i >= 1 and j >= 1:
+                coeffs[(i, j)] = c
+            elif not ((i, j) in ((1, 0), (0, 1)) and c == ring.one()):
+                raise InternalConsistencyError("law expanded from its logarithm is not in normal form")
+        FGL(ring, n, coeffs)._validate_log(log)
+        return coeffs
 
     def a(self, i: int, j: int) -> RingElem:
         return self.coeffs.get((i, j), self.ring.zero())
@@ -285,22 +317,23 @@ class FGL:
     def log(self) -> Series:
         """The logarithm: log(F(x, y)) = log(x) + log(y), log(x) = x + O(x^2).
 
-        Solved from the invariant differential: the linear-in-y part of the
-        identity is log'(x) * F_y(x, 0) = 1 with F_y(x, 0) = 1 + sum a(i,1) x^i,
-        so log'(x) = sum c_m x^m with c_0 = 1 and c_m = -sum a(i,1) c_(m-i)
-        over 1 <= i <= m.  The result is then verified against the full
-        identity (up to the probe bound for laws with large symbolic
-        coefficients).
+        A law given by its table solves it from the invariant differential:
+        the linear-in-y part of the identity is log'(x) * F_y(x, 0) = 1 with
+        F_y(x, 0) = 1 + sum a(i,1) x^i, so log'(x) = sum c_m x^m with c_0 = 1
+        and c_m = -sum a(i,1) c_(m-i) over 1 <= i <= m.  The result is then
+        verified against the full identity (up to the probe bound for laws
+        with large symbolic coefficients); a law given by its logarithm runs
+        that check when it expands its table.
         """
         return self.derived("log", None, self._solve_log)
 
     def _solve_log(self) -> Series:
-        ring = self.ring
+        ring, table = self.ring, self.coeffs
         c = [ring.one()]
         for m in range(1, self.truncation):
             cm = ring.zero()
             for i in range(1, m + 1):
-                a = self.coeffs.get((i, 1))
+                a = table.get((i, 1))
                 if a:
                     cm = cm - a * c[m - i]
             c.append(cm)
@@ -384,27 +417,13 @@ def multiplicative_law(truncation: int) -> FGL:
 
 
 def universal_law(truncation: int) -> FGL:
-    """F = exp(log(x) + log(y)) with log(x) = x + sum bm x^(m+1)."""
-    n = truncation
-    ring = CoeffRing.universal(n)
+    """F = exp(log(x) + log(y)) with log(x) = x + sum bm x^(m+1), given by
+    its logarithm; the table is expanded when first read."""
+    ring = CoeffRing.universal(truncation)
     log = Series.make(
-        ring, n, [ring.zero(), ring.one()] + [ring.gen(m - 1) for m in range(1, n)]
+        ring, truncation, [ring.zero(), ring.one()] + [ring.gen(m - 1) for m in range(1, truncation)]
     )
-    exp = log.reversion()
-    lx = NilPoly.from_series(log, 2, n, 0)
-    ly = NilPoly.from_series(log, 2, n, 1)
-    f2 = _series_on_nilpoly(exp, lx + ly)
-    coeffs = {}
-    for expo, c in f2.terms.items():
-        i, j = expo
-        if i >= 1 and j >= 1:
-            coeffs[(i, j)] = c
-        elif not ((i, j) in ((1, 0), (0, 1)) and c == ring.one()):
-            raise InternalConsistencyError("universal law is not in normal form")
-    # the construction data *is* the logarithm
-    law = FGL(ring, n, coeffs, {("log", None): log, ("exp", None): exp})
-    law._validate_log(log)
-    return law
+    return FGL(ring, truncation, memo={("log", None): log})
 
 
 def law_for(kind: RingKind, truncation: int) -> FGL:

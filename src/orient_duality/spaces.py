@@ -377,11 +377,13 @@ class CohClass(SparseClass):
         for expo, c in terms.items():
             if len(expo) != len(bounds):
                 raise SpaceMismatchError("exponent tuple %r does not fit %s" % (expo, space))
-            if any(e < 0 for e in expo):
-                raise ValueError("negative exponent in %r" % (expo,))
-            if any(e > n for e, n in zip(expo, bounds)):
-                continue  # the quotient relation z^(n+1) = 0
-            if c:
+            inside = True  # else dropped by the quotient relation z^(n+1) = 0
+            for e, n in zip(expo, bounds):
+                if e < 0:
+                    raise ValueError("negative exponent in %r" % (expo,))
+                if e > n:
+                    inside = False
+            if inside and c:
                 clean[expo] = c
         super().__init__(space, ring, clean)
 

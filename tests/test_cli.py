@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from orient_duality.algebra import CoeffRing, RingKind
 from orient_duality.cli import MAX_UNIVERSAL_TRUNCATION, _parse_class_json, main, parse_morphism
 from orient_duality.errors import ParseError
+from orient_duality.fgl import FGL, Series
 from orient_duality.homodual import HomClass
 from orient_duality.spaces import CohClass, Space
 
@@ -451,6 +452,71 @@ def test_universal_truncation_limit_is_inclusive(capsys):
         "--truncation", str(MAX_UNIVERSAL_TRUNCATION),
     )
     assert code == 0 and out == "1\n"
+
+
+def test_ring_shares_the_universal_truncation_limit(capsys):
+    # parsing is quadratic in the truncation, so ``ring`` is refused too
+    code, out, err = _run(
+        capsys, "ring", "--theory", "universal", "--truncation", "21", "--parse", "b1"
+    )
+    assert code == 3 and not out
+    assert err == "error: universal truncation 21 is above the limit of %d\n" % MAX_UNIVERSAL_TRUNCATION
+    code, out, _ = _run(
+        capsys, "ring", "--theory", "universal", "--truncation", str(MAX_UNIVERSAL_TRUNCATION),
+        "--parse", "b1",
+    )
+    assert code == 0 and out.endswith("parsed: b1\n")
+
+
+# A universal law is given by its logarithm: the point classes fix the
+# kernels, fundamental classes, both duality maps and pushforwards, so
+# these queries never expand the table F = exp(log x + log y) or revert
+# the logarithm.
+LOG_ONLY_QUERIES = {
+    "kernel": ["kernel", "--space", "P2xP2"],
+    "fundamental": ["fundamental", "--space", "P2xP3"],
+    "dualize-to-hom": [
+        "dualize", "--space", "P2xP2", "--direction", "to-hom",
+        "--class", '{"terms": [{"zeta": [1, 0], "coeff": "1/2*b1"}, {"zeta": [0, 0], "coeff": "3"}]}',
+    ],
+    "dualize-to-coh": [
+        "dualize", "--space", "P2xP1", "--direction", "to-coh",
+        "--class", '{"values": [{"zeta": [2, 1], "coeff": "7"}, {"zeta": [1, 0], "coeff": "b1"}]}',
+    ],
+    "pushforward": [
+        "pushforward", "--space", "P2xP1", "--morphism", "proj(0,2);perm(1,0,2);diag(0)",
+        "--class", '{"terms": [{"zeta": [1, 0], "coeff": "1"}, {"zeta": [2, 1], "coeff": "2"}]}',
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", LOG_ONLY_QUERIES.values(), ids=LOG_ONLY_QUERIES.keys())
+def test_universal_log_only_queries_build_no_table(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("a table or a reversion was built")
+
+    monkeypatch.setattr(FGL, "_table_from_log", refuse)
+    monkeypatch.setattr(Series, "reversion", refuse)
+    code, out, err = _run(capsys, argv[0], "--theory", "universal", *argv[1:])
+    assert code == 0 and out and not err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["euler", "--space", "P2xP1", "--degrees", "1,-1"], ["verify", "--space", "P1"]],
+    ids=["euler", "verify"],
+)
+def test_universal_queries_that_evaluate_f_build_the_table(capsys, monkeypatch, argv):
+    built = []
+    real = FGL._table_from_log
+
+    def counted(law):
+        built.append(law)
+        return real(law)
+
+    monkeypatch.setattr(FGL, "_table_from_log", counted)
+    code, _, _ = _run(capsys, argv[0], "--theory", "universal", *argv[1:])
+    assert code == 0 and built
 
 
 def test_exit_1_on_failing_check(capsys, monkeypatch):

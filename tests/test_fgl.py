@@ -326,10 +326,19 @@ def test_derived_series_are_memoised():
 
 
 def test_universal_law_reuses_construction_exp():
-    law = universal_law(5)
-    assert memo_args(law, "exp") == {None}
-    assert law.exp() is law._memo[("exp", None)]
-    assert law.exp() == law.log().reversion()
+    # no exp until the table or exp() is asked for; afterwards exactly one
+    for first in ("coeffs", "exp"):
+        law = universal_law(5)
+        assert memo_args(law, "exp") == set()
+        if first == "coeffs":
+            law.coeffs
+        else:
+            law.exp()
+        assert memo_args(law, "exp") == {None}
+        assert law.exp() is law._memo[("exp", None)]
+        law.coeffs
+        assert memo_args(law, "exp") == {None}
+        assert law.exp() == law.log().reversion()
 
 
 def test_mutant_m_series_recomputed_from_own_table():

@@ -13,7 +13,9 @@ definitions, evaluated the slow way:
 * the scratch-polynomial product loops over pairs of exponent tuples and
   drops a pair by the sum of its total degrees;
 * (f_* a)(z^e) = a(f^* z^e) for every basis monomial of the target;
-* (f^! a)(z^e) = <f_!(z^e), a> for every basis monomial of the source.
+* (f^! a)(z^e) = <f_!(z^e), a> for every basis monomial of the source;
+* the universal law's table, expanded on first read, against the eager
+  construction that built it with the law (``eager_universal_table``).
 
 Each routine must agree with its oracle exactly, for every generator
 shape and for composites of two and three parts, in all three theories,
@@ -29,7 +31,7 @@ from hypothesis import strategies as st
 
 from orient_duality.algebra import CoeffRing, RingElem, RingKind
 from orient_duality.errors import RingMismatchError
-from orient_duality.fgl import NilPoly, Series, law_for
+from orient_duality.fgl import NilPoly, Series, _series_on_nilpoly, law_for, universal_law
 from orient_duality.gysin import pushforward_coh
 from orient_duality.homodual import HomClass, cap, pair, pushforward_hom, shriek_hom
 from orient_duality import spaces
@@ -499,3 +501,51 @@ def test_box_walk_looks_up_at_most_twice_per_surviving_pair(monkeypatch, product
     assert len(out.terms) == len(y_terms)
     corner = (0,) * 6 if product == "cup" else space.factors
     assert out.terms[corner] == x.terms[(0,) * 6] * y_terms[corner]
+
+
+# -- the universal law's table against its eager construction -----------------
+
+
+def eager_universal_table(N: int) -> dict:
+    """F = exp(log(x) + log(y)) for log(x) = x + sum bm x^(m+1), as
+    ``universal_law`` once built it at construction: revert the log, expand
+    the sum of the two logarithms, check the normal form."""
+    ring = CoeffRing.universal(N)
+    log = Series.make(ring, N, [ring.zero(), ring.one()] + [ring.gen(m - 1) for m in range(1, N)])
+    exp = log.reversion()
+    lx = NilPoly.from_series(log, 2, N, 0)
+    ly = NilPoly.from_series(log, 2, N, 1)
+    coeffs = {}
+    for (i, j), c in _series_on_nilpoly(exp, lx + ly).terms.items():
+        if i >= 1 and j >= 1:
+            coeffs[(i, j)] = c
+        else:
+            assert (i, j) in ((1, 0), (0, 1)) and c == ring.one()
+    return coeffs
+
+
+def typed_table(table: dict) -> dict:
+    return {ij: typed(c.terms) for ij, c in table.items()}
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_lazy_universal_table_matches_eager_construction(N):
+    assert typed_table(universal_law(N).coeffs) == typed_table(eager_universal_table(N))
+
+
+def test_lazy_universal_table_uses_the_memoised_exp(monkeypatch):
+    reversions = []
+    real = Series.reversion
+
+    def counted(s):
+        reversions.append(s)
+        return real(s)
+
+    monkeypatch.setattr(Series, "reversion", counted)
+    law = universal_law(7)
+    assert not reversions
+    law.coeffs
+    assert len(reversions) == 1 and reversions[0] is law.log()
+    exp = law.exp()
+    assert law.coeffs is law.coeffs and law.exp() is exp
+    assert len(reversions) == 1

@@ -81,6 +81,17 @@ def test_class_shape_errors():
         CohClass(sp, RING, {(-1, 0): RING.one()})
 
 
+def test_class_checks_sign_before_dropping_out_of_range_terms():
+    # a negative exponent is an error even when another exponent would drop the term
+    sp = Space((2, 2))
+    for expo in ((5, -1), (-1, 5)):
+        with pytest.raises(ValueError, match="negative exponent"):
+            CohClass(sp, RING, {expo: RING.one()})
+    with pytest.raises(SpaceMismatchError):
+        CohClass(sp, RING, {(5, -1, 0): RING.one()})
+    assert not CohClass(sp, RING, {(5, 0): RING.one(), (2, 3): RING.one()})
+
+
 def test_cup_truncates():
     sp = Space((1,))
     z = CohClass.zeta(sp, RING, 0)
