@@ -11,8 +11,9 @@ with i, j >= 1, i + j <= N and deg(a_ij) = 1 - i - j.  Three built-ins:
 The additive and multiplicative laws are given by their tables.  The
 universal law is given by its logarithm alone: the point classes, and so
 the kernels, fundamental classes, duality maps and pushforwards, need
-nothing else, and its table is expanded only when F itself is evaluated
-(Euler classes, m-series, axiom checks).
+nothing else.  Its Euler classes and m-series come from the logarithm too,
+c1(O(d)) = exp(d log z) and [m](x) = exp(m log x), so its table is
+expanded only when F itself is evaluated (axiom checks, ``FGL.eval``).
 
 The scratch polynomials used for construction and axiom checking
 (``NilPoly``) are ``spaces.SparseClass`` classes on (P^N)^k truncated above
@@ -36,7 +37,6 @@ proved integral before being returned.
 """
 
 from fractions import Fraction
-from functools import partial
 
 from .algebra import CoeffRing, RingElem, RingKind
 from .errors import InternalConsistencyError, SpaceMismatchError, TruncationUnsoundError
@@ -221,7 +221,8 @@ class FGL:
       law given by its logarithm expands it on first read;
     * ``"log"``, ``"exp"``: the logarithm and its compositional inverse;
     * ``"inverse"``: the formal inverse iota with F(x, iota(x)) = 0;
-    * ``"m_series"``: the m-fold formal sums [m](x), keyed by m;
+    * ``"m_series"``: the m-fold formal sums [m](x), keyed by m: for a
+      table law only the O(log |m|) links of its addition chain;
     * ``"pn_class"``: the point classes g_n, keyed by n;
     * ``"axioms"``: the witness of ``check_axioms`` (None when they hold);
     * ``"kernel"``: the diagonal kernels of P^n, keyed by n (``gysin``);
@@ -236,6 +237,7 @@ class FGL:
         self.ring = ring
         self.truncation = truncation
         self._memo = dict(memo or {})
+        self.from_log = coeffs is None  # picks the route of m_series and euler
         if coeffs is not None:
             self._memo[("table", None)] = coeffs
         elif ("log", None) not in self._memo:
@@ -302,15 +304,18 @@ class FGL:
         return self.derived("inverse", None, lambda: _solve_inverse(self))
 
     def m_series(self, m: int) -> Series:
-        """The m-fold formal sum [m](x) = F(x, [m-1](x)); negative m via
-        the inverse.  Memoised, together with every [k] built on the way."""
+        """The m-fold formal sum [m](x), memoised.  A law given by its
+        logarithm has [m](x) = exp(m log x) and reads no table; a table law
+        doubles, [2k] = F([k], [k]) and [2k+1] = F(x, [2k]), in O(log |m|)
+        applications and memo entries; negative m goes through the inverse."""
+        if self.from_log:
+            return self.derived("m_series", m, lambda: self.exp().compose(self.log() * m))
         if m < 0:
             return self.derived("m_series", m, lambda: self.inverse().compose(self.m_series(-m)))
-        x = self.x_series()
-        out = Series.zero(x.space, self.ring)
-        for j in range(1, m + 1):
-            out = self.derived("m_series", j, partial(apply_law, self, x, out))
-        return out
+        if m <= 1:
+            return self.x_series() * m
+        k = 1 if m % 2 else m // 2
+        return self.derived("m_series", m, lambda: apply_law(self, self.m_series(k), self.m_series(m - k)))
 
     # -- logarithm and point classes ------------------------------------
 

@@ -715,8 +715,9 @@ def full_diagonal(space: Space) -> Morphism:
 
 
 def euler(space: Space, degrees: tuple[int, ...], law) -> CohClass:
-    """Euler class of O(d1, .., dk): the law applied to the factor classes
-    [d_t](z_t).  Exact only when total dimension + 1 <= truncation."""
+    """Euler class of O(d1, .., dk): F applied to the factor classes
+    [d_t](z_t), or exp(sum d_t log z_t), no table read, for a law given by
+    its logarithm.  Exact only when total dimension + 1 <= truncation."""
     if len(degrees) != space.nfactors:
         raise SpaceMismatchError("need one twist degree per factor")
     if space.total_dim + 1 > law.truncation:
@@ -725,12 +726,13 @@ def euler(space: Space, degrees: tuple[int, ...], law) -> CohClass:
             % (space, space.total_dim, space.total_dim + 1, law.truncation)
         )
     out = CohClass.zero(space, law.ring)
-    for t, d in enumerate(degrees):
-        if d == 0:
-            continue
-        zt = CohClass.zeta(space, law.ring, t)
-        ct = law.m_series(d).eval_nilpotent(zt)
-        out = law.eval(out, ct)
+    twists = [(d, CohClass.zeta(space, law.ring, t)) for t, d in enumerate(degrees) if d]
+    if law.from_log:
+        for d, zt in twists:
+            out = out + law.log().eval_nilpotent(zt) * d
+        return law.exp().eval_nilpotent(out)
+    for d, zt in twists:
+        out = law.eval(out, law.m_series(d).eval_nilpotent(zt))
     return out
 
 

@@ -501,11 +501,43 @@ def test_universal_log_only_queries_build_no_table(capsys, monkeypatch, argv):
     assert code == 0 and out and not err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["euler", "--space", "P2xP1", "--degrees", "1,-1"], ["verify", "--space", "P1"]],
-    ids=["euler", "verify"],
-)
+@pytest.mark.parametrize("degrees", ["1,-1", "7,-5"])
+def test_universal_euler_builds_no_table(capsys, monkeypatch, degrees):
+    # c1(O(d1, d2)) = exp(d1 log z1 + d2 log z2): the logarithm is reverted
+    # once for exp, but F is never expanded
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(FGL, "_table_from_log", refuse)
+    code, out, err = _run(capsys, "euler", "--theory", "universal", "--space", "P2xP1", "--degrees", degrees)
+    assert code == 0 and out and not err
+
+
+def test_large_multiplicative_degree_takes_log_many_links(capsys, monkeypatch):
+    import math
+    import time
+
+    import orient_duality.cli as cli_mod
+
+    laws = []
+    real = cli_mod.law_for
+
+    def recording(kind, truncation):
+        laws.append(real(kind, truncation))
+        return laws[-1]
+
+    monkeypatch.setattr(cli_mod, "law_for", recording)
+    m = 100000
+    start = time.perf_counter()
+    code, out, _ = _run(capsys, "euler", "--theory", "multiplicative", "--space", "P1", "--degrees=%d" % m)
+    assert time.perf_counter() - start < 0.1
+    # [m](z) = m*z - C(m, 2)*beta*z^2 on P1, where z^2 = 0
+    assert code == 0 and out.strip() == "%d*z1" % m
+    links = {arg for kind, arg in laws[0]._memo if kind == "m_series"}
+    assert m in links and len(links) <= 2 * math.ceil(math.log2(m)) + 2
+
+
+@pytest.mark.parametrize("argv", [["verify", "--space", "P1"]], ids=["verify"])
 def test_universal_queries_that_evaluate_f_build_the_table(capsys, monkeypatch, argv):
     built = []
     real = FGL._table_from_log

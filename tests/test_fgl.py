@@ -318,11 +318,16 @@ def memo_args(law, kind):
 def test_derived_series_are_memoised():
     law = multiplicative_law(6)
     assert law.m_series(-2) is law.m_series(-2)
-    assert law.m_series(3) is law.m_series(3)
+    assert law.m_series(13) is law.m_series(13)
     assert law.inverse() is law.inverse()
     assert law.exp() is law.exp()
-    # [3] was built through [1] and [2]
-    assert memo_args(law, "m_series") == {-2, 1, 2, 3}
+    # the addition chain, [1] = x: [13] = F(x, [12]), [12] = F([6], [6]),
+    # [6] = F([3], [3]), [3] = F(x, [2]), [2] = F([1], [1])
+    assert memo_args(law, "m_series") == {-2, 2, 3, 6, 12, 13}
+    # a law given by its logarithm keeps only [m] = exp(m log x)
+    uni = universal_law(6)
+    assert uni.m_series(13) is uni.m_series(13)
+    assert memo_args(uni, "m_series") == {13} and not memo_args(uni, "table")
 
 
 def test_universal_law_reuses_construction_exp():
@@ -358,6 +363,19 @@ def test_mutant_m_series_recomputed_from_own_table():
         assert got[d] == -((-beta) ** (d - 1))
     fresh = with_flipped_coefficient(law, 1, 1, keep_log=False)
     assert not memo_args(fresh, "log") and not memo_args(fresh, "exp")
+
+
+def test_universal_mutant_euler_reads_its_own_table():
+    # the mutant keeps the original's logarithm, but it is given by a
+    # table, so its Euler classes fold its own (flipped) F
+    from orient_duality.spaces import euler
+
+    law = universal_law(5)
+    law.log()
+    mut = with_flipped_coefficient(law, 1, 2)  # keep_log
+    assert mut.log() is law.log() and law.from_log and not mut.from_log
+    sq = Space((2, 2))
+    assert euler(sq, (1, 1), mut) != euler(sq, (1, 1), law)
 
 
 def test_mutant_kernels_do_not_leak_into_original():

@@ -15,7 +15,10 @@ definitions, evaluated the slow way:
 * (f_* a)(z^e) = a(f^* z^e) for every basis monomial of the target;
 * (f^! a)(z^e) = <f_!(z^e), a> for every basis monomial of the source;
 * the universal law's table, expanded on first read, against the eager
-  construction that built it with the law (``eager_universal_table``).
+  construction that built it with the law (``eager_universal_table``);
+* Euler classes against the fold of F over [d](z) with the sequential
+  [m] = F(x, [m-1]) (``sequential_euler``), and the doubling m-series
+  against the closed forms of the additive and multiplicative laws.
 
 Each routine must agree with its oracle exactly, for every generator
 shape and for composites of two and three parts, in all three theories,
@@ -31,7 +34,16 @@ from hypothesis import strategies as st
 
 from orient_duality.algebra import CoeffRing, RingElem, RingKind
 from orient_duality.errors import RingMismatchError
-from orient_duality.fgl import NilPoly, Series, _series_on_nilpoly, law_for, universal_law
+from orient_duality.fgl import (
+    NilPoly,
+    Series,
+    _series_on_nilpoly,
+    additive_law,
+    apply_law,
+    law_for,
+    multiplicative_law,
+    universal_law,
+)
 from orient_duality.gysin import pushforward_coh
 from orient_duality.homodual import HomClass, cap, pair, pushforward_hom, shriek_hom
 from orient_duality import spaces
@@ -549,3 +561,60 @@ def test_lazy_universal_table_uses_the_memoised_exp(monkeypatch):
     exp = law.exp()
     assert law.coeffs is law.coeffs and law.exp() is exp
     assert len(reversions) == 1
+
+
+# -- Euler classes and m-series against the sequential construction ----------
+
+
+def sequential_euler(space: Space, degrees: tuple, law) -> CohClass:
+    """c1(O(d1, .., dk)) as F folded over the factor classes [d_t](z_t),
+    with [m] = F(x, [m-1]) applied m times and [-m] = iota([m]): the
+    construction every law used before the m-series doubled and the
+    logarithm route."""
+    x = law.x_series()
+
+    def m_series(m):
+        out = x * 0
+        for _ in range(abs(m)):
+            out = apply_law(law, x, out)
+        return law.inverse().compose(out) if m < 0 else out
+
+    out = CohClass.zero(space, law.ring)
+    for t, d in enumerate(degrees):
+        if d:
+            out = law.eval(out, m_series(d).eval_nilpotent(CohClass.zeta(space, law.ring, t)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind, space, degrees",
+    [
+        (RingKind.UNIVERSAL, "P4xP4", (7, -5)),
+        (RingKind.UNIVERSAL, "P2xP2xP2", (3, -2, 1)),
+        (RingKind.UNIVERSAL, "P1xP2xP3", (1, -2, 2)),
+        (RingKind.MULTIPLICATIVE, "P2xP2", (13, -6)),
+    ],
+)
+def test_euler_matches_sequential_fold(kind, space, degrees):
+    sp = Space.parse(space)
+    law = law_for(kind, sp.total_dim + 1)
+    got = spaces.euler(sp, degrees, law)
+    assert typed_class(got) == typed_class(sequential_euler(sp, degrees, law_for(kind, sp.total_dim + 1)))
+    if kind is RingKind.UNIVERSAL:
+        assert ("table", None) not in law._memo
+
+
+def test_doubling_m_series_matches_closed_forms():
+    # [m]x = m*x (additive) and (1 - (1 - beta*x)^m) / beta
+    # = sum_(d >= 1) C(m, d) (-beta)^(d-1) x^d (multiplicative), with the
+    # generalised binomial C(m, d) integral for either sign of m
+    N = 6
+    add, mult = additive_law(N), multiplicative_law(N)
+    beta = mult.ring.gen(0)
+    for m in range(-9, 41):
+        assert add.m_series(m) == add.x_series() * m
+        binom, closed = 1, [0]
+        for d in range(1, N + 1):
+            binom = binom * (m - d + 1) // d
+            closed.append((-beta) ** (d - 1) * binom)
+        assert mult.m_series(m) == Series.make(mult.ring, N, closed)

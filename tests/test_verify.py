@@ -144,6 +144,41 @@ def test_full_recompute_flip_is_conjugate_theory():
 # -- sampling -----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("kind", [RingKind.MULTIPLICATIVE, RingKind.UNIVERSAL])
+@pytest.mark.parametrize("wrong", [2, -1])
+def test_v1_catches_a_wrong_m_series(monkeypatch, kind, wrong):
+    # a table law builds [4] = F([2], [2]), V1's (2, 2) left side, so V1
+    # must take its right side from an independent derivation
+    from orient_duality.fgl import FGL
+
+    real = FGL.m_series
+
+    def broken(law, m):
+        s = real(law, m)
+        return s + s * s if m == wrong else s
+
+    monkeypatch.setattr(FGL, "m_series", broken)
+    reports = run_suite(_cfg(theories=(kind,), spaces=(Space((1,)),)), checks=("V1-fgl-axioms",))
+    assert [r.status for r in reports] == ["fail"]
+    assert reports[0].witness["identity"].startswith("[")
+
+
+def test_v1_sees_a_non_associative_table_without_the_axiom_check(monkeypatch):
+    # with the axiom check patched out, only V1's independent right side
+    # sees the fault: [4] = F([2], [2]) against F(x, F(x, F(x, x)))
+    import orient_duality.verify as verify_mod
+    from orient_duality.fgl import FGL
+
+    law = multiplicative_law(4)
+    beta2 = law.ring.gen(0) ** 2
+    bad = FGL(law.ring, 4, {**law.coeffs, (1, 2): beta2, (2, 1): beta2})
+    monkeypatch.setattr(verify_mod, "check_axioms", lambda F: None)
+    cfg = _cfg(theories=(RingKind.MULTIPLICATIVE,), spaces=(Space((1,)),))
+    reports = run_suite(cfg, laws={RingKind.MULTIPLICATIVE: bad}, checks=("V1-fgl-axioms",))
+    assert [r.status for r in reports] == ["fail"]
+    assert reports[0].witness["identity"] == "[2](x) + [2](x) = [4](x)"
+
+
 def test_derive_rng_is_stable():
     a = _derive_rng(3, "x", "y").random()
     b = _derive_rng(3, "x", "y").random()
