@@ -406,7 +406,7 @@ class RingElem:
 # Integer rings reject fractional numbers at this boundary, which keeps
 # user-supplied data inside the integral subring the theory promises.
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:\s*/\s*\d+)?)|(?P<sym>[A-Za-z][A-Za-z0-9]*)|(?P<op>[\^*+-]))")
+_TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+(?:\s*/\s*[0-9]+)?)|(?P<sym>[A-Za-z][A-Za-z0-9]*)|(?P<op>[\^*+-]))")
 
 
 def _tokenize(text: str):

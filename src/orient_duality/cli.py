@@ -65,6 +65,15 @@ from .verify import CheckConfig, reports_to_json, reports_to_table, run_suite
 MAX_UNIVERSAL_TRUNCATION = 20
 
 _MORPHISM_TOKEN = re.compile(r"^(proj|embed|diag|perm)\(([-0-9,\s]*)\)$")
+_ASCII_INT = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
+def _ascii_int(text: str) -> int:
+    """An integer in ASCII digits with an optional sign; ``int`` alone also
+    reads '1_0' as 10 and other scripts' digits as their values."""
+    if not _ASCII_INT.fullmatch(text):
+        raise argparse.ArgumentTypeError("not an ASCII integer: %r" % text)
+    return int(text)
 
 
 def parse_morphism(text: str, source: Space) -> Morphism:
@@ -206,9 +215,9 @@ def _cmd_euler(args) -> int:
     space = Space.parse(args.space)
     law = _law(args, space)
     try:
-        degrees = tuple(int(s) for s in args.degrees.split(",")) if args.degrees else ()
-    except ValueError:
-        raise ParseError("degrees must be a comma-separated integer list") from None
+        degrees = tuple(_ascii_int(s) for s in args.degrees.split(",")) if args.degrees else ()
+    except argparse.ArgumentTypeError as exc:
+        raise ParseError("degrees must be a comma-separated integer list: %s" % exc) from None
     cls = euler(space, degrees, law)
     _emit(args, cls.render(), _json_with_space(space, cls.to_json_obj()))
     return 0
@@ -295,7 +304,7 @@ def _add_common(sub, *, theory=True, space=True):
         sub.add_argument("--space", required=True, help="space literal, e.g. P2xP1 or pt")
     sub.add_argument(
         "--truncation",
-        type=int,
+        type=_ascii_int,
         default=None,
         metavar="N",
         help="series truncation bound (default: smallest sound value)",
@@ -348,9 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="'all' or a comma-separated subset of additive,multiplicative,universal",
     )
     p.add_argument("--space", default="P1,P2,P1xP1", help="comma-separated space literals")
-    p.add_argument("--truncation", type=int, default=None, metavar="N")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=4)
+    p.add_argument("--truncation", type=_ascii_int, default=None, metavar="N")
+    p.add_argument("--seed", type=_ascii_int, default=0)
+    p.add_argument("--samples", type=_ascii_int, default=4)
     p.add_argument("--checks", default=None, help="comma-separated check ids (default: all)")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", default=None, metavar="PATH")

@@ -26,9 +26,10 @@ included, is kept in one memo behind ``FGL.derived``.
 
 The logarithm of a law is solved degree by degree from the invariant
 differential, the linear-in-y slot of log(F(x, y)) = log(x) + log(y), and
-then checked against the full identity; a table of coefficients that does
-not come from an actual group law fails that check loudly instead of
-producing plausible garbage.
+then checked against the full identity at full precision, once per law; a
+table of coefficients that does not come from an actual group law fails
+that check loudly instead of producing plausible garbage.  Over a
+Q-algebra the identity gives F = exp(log(x) + log(y)), so F is associative.
 
 ``pn_class(F, n)`` is the direct image of 1 under the projection from
 n-dimensional projective space to the point, read off the logarithm:
@@ -41,14 +42,6 @@ from fractions import Fraction
 from .algebra import CoeffRing, RingElem, RingKind
 from .errors import InternalConsistencyError, SpaceMismatchError, TruncationUnsoundError
 from .spaces import Space, SparseClass
-
-# Exact expansion of the axiom checks in many symbols is expensive in pure
-# Python, so laws whose coefficients are themselves large polynomials are
-# probed up to this total degree instead of the full truncation bound.
-# Integer-ring laws are always checked at full precision.  The one-variable
-# comparison of the two formal inverses in ``check_axioms`` is cheap and
-# always runs at full precision, so it sees table entries above the probe.
-_AXIOM_PROBE_BOUND = 6
 
 
 class NilPoly(SparseClass):
@@ -224,6 +217,8 @@ class FGL:
     * ``"m_series"``: the m-fold formal sums [m](x), keyed by m: for a
       table law only the O(log |m|) links of its addition chain;
     * ``"pn_class"``: the point classes g_n, keyed by n;
+    * ``"log_identity"``: present once log(F(x, y)) = log(x) + log(y)
+      has held at full precision;
     * ``"axioms"``: the witness of ``check_axioms`` (None when they hold);
     * ``"kernel"``: the diagonal kernels of P^n, keyed by n (``gysin``);
     * ``"diagonal_class"``: the diagonal classes on X x X, keyed by the
@@ -268,7 +263,7 @@ class FGL:
                 coeffs[(i, j)] = c
             elif not ((i, j) in ((1, 0), (0, 1)) and c == ring.one()):
                 raise InternalConsistencyError("law expanded from its logarithm is not in normal form")
-        FGL(ring, n, coeffs)._validate_log(log)
+        self._validate_log(log, FGL(ring, n, coeffs))
         return coeffs
 
     def a(self, i: int, j: int) -> RingElem:
@@ -326,9 +321,9 @@ class FGL:
         the linear-in-y part of the identity is log'(x) * F_y(x, 0) = 1 with
         F_y(x, 0) = 1 + sum a(i,1) x^i, so log'(x) = sum c_m x^m with c_0 = 1
         and c_m = -sum a(i,1) c_(m-i) over 1 <= i <= m.  The result is then
-        verified against the full identity (up to the probe bound for laws
-        with large symbolic coefficients); a law given by its logarithm runs
-        that check when it expands its table.
+        verified against the full identity at full precision, which gives
+        F = exp(log(x) + log(y)) and so associativity; a law given by its
+        logarithm runs that check when it expands its table.
         """
         return self.derived("log", None, self._solve_log)
 
@@ -347,17 +342,22 @@ class FGL:
         self._validate_log(log)
         return log
 
-    def _validate_log(self, log: Series):
-        bound = self.truncation
-        if self.ring.kind is RingKind.UNIVERSAL:
-            bound = min(bound, _AXIOM_PROBE_BOUND)
-        x = NilPoly.gen(self.ring, 2, bound, 0)
-        y = NilPoly.gen(self.ring, 2, bound, 1)
-        lhs = _series_on_nilpoly(log, apply_law(self, x, y))
-        if lhs != NilPoly.from_series(log, 2, bound, 0) + NilPoly.from_series(log, 2, bound, 1):
-            raise InternalConsistencyError(
-                "coefficient table admits no logarithm: log(F(x,y)) != log(x) + log(y)"
-            )
+    def _validate_log(self, log: Series, table_law: "FGL | None" = None):
+        """Check log(F(x, y)) = log(x) + log(y) at full precision, once per
+        law; it gives F = exp(log(x) + log(y)), so F is associative.
+        ``table_law`` evaluates F while this law's table is being built."""
+
+        def check():
+            n = self.truncation
+            x = NilPoly.gen(self.ring, 2, n, 0)
+            y = NilPoly.gen(self.ring, 2, n, 1)
+            lhs = _series_on_nilpoly(log, apply_law(table_law or self, x, y))
+            if lhs != NilPoly.from_series(log, 2, n, 0) + NilPoly.from_series(log, 2, n, 1):
+                raise InternalConsistencyError(
+                    "coefficient table admits no logarithm: log(F(x,y)) != log(x) + log(y)"
+                )
+
+        self.derived("log_identity", None, check)
 
     def exp(self) -> Series:
         """The compositional inverse of the logarithm (memoised)."""
@@ -445,15 +445,15 @@ def law_for(kind: RingKind, truncation: int) -> FGL:
 
 
 def check_axioms(F: FGL) -> str | None:
-    """Verify the group-law axioms; returns a witness string or None.
+    """Verify the group-law axioms at full precision for every ring;
+    returns a witness string or None, memoised on the law.
 
-    Symmetry and shape exactly; associativity and the logarithm identity
-    up to the probe bound for symbol-heavy rings (full precision for the
-    integer rings).  Last, the formal inverse is derived twice, from the
-    table (F(x, iota) = 0) and from the logarithm (exp(-log x)), and the
-    two must agree at full precision; this also catches a table that
-    differs from its law above the probe bound, and a stale logarithm.
-    The result is memoised on the law.
+    The shape first: index range, symmetry and degrees.  Then the formal
+    inverse from the table (F(x, iota) = 0) must equal the one from the
+    logarithm (exp(-log x)).  Last, the law's own logarithm must satisfy
+    log(F(x, y)) = log(x) + log(y), which catches a stale one; as log is
+    invertible this gives F = exp(log(x) + log(y)), so F is associative
+    with no 3-variable expansion.
     """
     return F.derived("axioms", None, lambda: _axiom_witness(F))
 
@@ -467,26 +467,12 @@ def _axiom_witness(F: FGL) -> str | None:
         expected = {1 - i - j}
         if c.degrees() - expected:
             return "a(%d,%d) has degree outside %r" % (i, j, expected)
-    x = F.x_series()
-    if apply_law(F, x, x * 0) != x:
-        return "F(x, 0) != x"
-    bound = F.truncation
-    if F.ring.kind is RingKind.UNIVERSAL:
-        bound = min(bound, _AXIOM_PROBE_BOUND)
-    gx = NilPoly.gen(F.ring, 3, bound, 0)
-    gy = NilPoly.gen(F.ring, 3, bound, 1)
-    gz = NilPoly.gen(F.ring, 3, bound, 2)
-    left = apply_law(F, apply_law(F, gx, gy), gz)
-    right = apply_law(F, gx, apply_law(F, gy, gz))
-    if left != right:
-        return "associativity fails up to degree %d" % bound
     try:
         log = F.log()
-        inv = F.inverse()
-        via_log = F.exp().compose(-log)
+        if F.inverse() != F.exp().compose(-log):
+            return "formal inverse from the table differs from exp(-log(x))"
+        F._validate_log(log)
     except InternalConsistencyError as exc:
         return str(exc)
-    if inv != via_log:
-        return "formal inverse from the table differs from exp(-log(x))"
     return None
 

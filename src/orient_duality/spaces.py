@@ -52,7 +52,7 @@ from .errors import (
     TruncationUnsoundError,
 )
 
-_SPACE_RE = re.compile(r"^P(\d+)(xP\d+)*$")
+_SPACE_RE = re.compile(r"^P([0-9]+)(xP[0-9]+)*$")
 
 
 @dataclass(frozen=True)

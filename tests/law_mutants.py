@@ -13,10 +13,11 @@ def with_flipped_coefficient(F: FGL, i: int, j: int, *, keep_log: bool = True, k
     """A copy of ``F`` with the sign of a(i,j) flipped, optionally keeping
     derived data from the original by kind.  The kept entries are copied
     into a memo of the copy's own, so nothing the copy computes later
-    reaches the original.  The formal inverse, the m-series and the axiom
-    witness derive from the table, so they are never kept.  Fundamental
-    classes are kept with the logarithm (they are products of point
-    classes), diagonal classes with the kernels they are built from.
+    reaches the original.  The formal inverse, the m-series, the log
+    identity and the axiom witness derive from the table, so they are
+    never kept.  Fundamental classes are kept with the logarithm (they are
+    products of point classes), diagonal classes with the kernels they are
+    built from.
 
     A consistent recomputation of a flipped *symmetric pair* can produce an
     isomorphic theory, so the interesting failures come from stale caches

@@ -415,6 +415,31 @@ def test_exit_2_on_bad_samples(capsys):
     assert code == 2
 
 
+# "\u0662" and "\u0663" are the Arabic-Indic digits two and three, which
+# int() and the regex class \d accept; "1_0" is int()'s digit grouping
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (("euler", "--theory", "additive", "--space", "P1", "--degrees=1_0"), "1_0"),
+        (("kernel", "--theory", "additive", "--space", "P\u0662"), "P\u0662"),
+        (("ring", "--theory", "universal", "--truncation", "4", "--parse", "\u0663*b1"), "\u0663"),
+        (("ring", "--theory", "universal", "--truncation", "4", "--parse", "b1^\u0662"), "\u0662"),
+        (("ring", "--theory", "universal", "--truncation", "1_0"), "1_0"),
+        (("verify", "--theory", "additive", "--space", "P1", "--samples", "\u0663"), "\u0663"),
+    ],
+    ids=["degrees-grouped", "space-digit", "ring-coeff-digit", "ring-exponent-digit",
+         "truncation-grouped", "samples-digit"],
+)
+def test_exit_2_on_integer_not_in_ascii_digits(capsys, argv, token):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects an option's type
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2 and not out.out
+    assert repr(token) in out.err
+
+
 def test_exit_3_on_unsound_truncation(capsys):
     code, _, err = _run(
         capsys, "verify", "--theory", "additive", "--space", "P2", "--truncation", "2"

@@ -238,11 +238,13 @@ def test_axioms_witness_degree():
 
 
 def test_axioms_witness_not_a_group_law():
-    # symmetric, right degrees, but fails associativity / has no logarithm
+    # symmetric, right degrees, but the logarithm solved from a(i,1) does
+    # not satisfy log(F(x,y)) = log(x) + log(y), so F is no group law
     ring = CoeffRing.multiplicative(5)
     beta = ring.gen(0)
     broken = FGL(ring, 5, {(1, 1): -beta, (2, 2): beta ** 3})
-    assert check_axioms(broken) is not None
+    w = check_axioms(broken)
+    assert w is not None and "admits no logarithm" in w
 
 
 def test_flip_asymmetric_is_rejected():
@@ -274,17 +276,41 @@ def test_flip_with_stale_log_keeps_old_point_classes():
     assert mut.pn_class(1) == beta  # stale, inconsistent with the table
 
 
-def test_axioms_catch_symmetric_flip_above_probe_bound():
-    # a(3,5) and a(5,3) sit in total degree 8, above the associativity
-    # probe; only the full-precision comparison of the two inverses sees
-    # that the table no longer comes from its logarithm
+def _degree_8_flip(keep_log: bool) -> FGL:
+    # universal_law(10) with the symmetric pair a(3,5), a(5,3) negated: the
+    # shape checks pass and the table no longer comes from any logarithm
     law = universal_law(10)
-    coeffs = dict(law.coeffs)
-    coeffs[(3, 5)] = -coeffs[(3, 5)]
-    coeffs[(5, 3)] = -coeffs[(5, 3)]
-    broken = FGL(law.ring, 10, coeffs)
-    w = check_axioms(broken)
+    half = with_flipped_coefficient(law, 3, 5, keep_log=keep_log, keep_kernels=False)
+    return with_flipped_coefficient(half, 5, 3, keep_log=keep_log, keep_kernels=False)
+
+
+def test_each_axiom_guard_alone_rejects_a_degree_8_flip(monkeypatch):
+    # the full-precision log identity rejects the flip by default ...
+    w = check_axioms(_degree_8_flip(keep_log=False))
+    assert w is not None and "admits no logarithm" in w
+    # ... and the comparison of the two formal inverses rejects it alone
+    monkeypatch.setattr(FGL, "_validate_log", lambda self, log, table_law=None: None)
+    w = check_axioms(_degree_8_flip(keep_log=False))
     assert w is not None and "inverse" in w
+
+
+def _stale_multiplicative_flip() -> FGL:
+    law = multiplicative_law(6)
+    law.log()
+    return with_flipped_coefficient(law, 1, 1)  # keeps the old logarithm
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_stale_multiplicative_flip, lambda: _degree_8_flip(keep_log=True), lambda: _degree_8_flip(keep_log=False)],
+    ids=["multiplicative-stale-log", "universal-stale-log", "universal-solved-log"],
+)
+def test_log_identity_rejects_flips_without_the_inverse_comparison(monkeypatch, build):
+    # with the inverse derived from the logarithm, the two inverses agree by
+    # construction; only the law's own log identity sees the flipped table
+    monkeypatch.setattr(FGL, "inverse", lambda F: F.exp().compose(-F.log()))
+    w = check_axioms(build())
+    assert w is not None and "admits no logarithm" in w
 
 
 def test_axioms_catch_stale_log_on_flipped_law():
@@ -409,6 +435,28 @@ def test_inverse_recursion_runs_once_per_law_on_grid(monkeypatch):
     reports = run_suite(cfg, checks=("V1-fgl-axioms", "V2-orientation"))
     assert all(r.status == "pass" for r in reports)
     assert len(calls) == 1
+
+
+def test_log_identity_runs_once_per_law_on_grid(monkeypatch):
+    # the identity is the one bivariate evaluation of F; building the
+    # universal table, solving a table law's log and check_axioms share it
+    import orient_duality.fgl as fgl_mod
+    from orient_duality.verify import CheckConfig, run_suite
+
+    calls = []
+    apply = fgl_mod.apply_law
+
+    def counting(F, p, q):
+        if type(p) is NilPoly and p.space.nfactors == 2:
+            calls.append(F.kind)
+        return apply(F, p, q)
+
+    monkeypatch.setattr(fgl_mod, "apply_law", counting)
+    spaces = tuple(Space.parse(s) for s in ("P1", "P2", "P3", "P1xP1", "P1xP2", "P2xP2"))
+    cfg = CheckConfig(theories=tuple(RingKind), spaces=spaces, truncation=7, seed=0, samples=4)
+    reports = run_suite(cfg, checks=("V1-fgl-axioms", "V2-orientation"))
+    assert all(r.status == "pass" for r in reports)
+    assert sorted(calls, key=str) == sorted(RingKind, key=str)
 
 
 def test_apply_law_powers_match_direct_powers():
