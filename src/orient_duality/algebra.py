@@ -31,20 +31,23 @@ The constant monomial has key 0 in every layout.
 
 Elements are in canonical form: nonzero coefficients, with an int wherever
 a Fraction equals one.  Each operation builds one fresh key map and
-canonicalises it once, then wraps it without a second pass: products
-clean their whole map, sums clean only the coefficients they change
-(both operands are already canonical), and negation keeps canonical
-coefficients canonical.  Only the public constructor ``RingElem(ring,
-{exponent tuple: coefficient})`` packs tuples; it is the cold path used
-by parsing and a few samplers.  Two elements are equal iff their
-descriptors and key maps are equal, so ``==`` is exact mathematical
-equality.
+canonicalises it once, then wraps it without a second pass: sums clean
+only the coefficients they change (both operands are already canonical),
+and negation keeps canonical coefficients canonical.  Every product runs
+one loop, ``fused_mul``, into a raw key map; a sum of products (cup, cap,
+slants, pairing) fills one map per output and cleans each once with
+``wrap_sums``, so no element is built per term.  Only the public
+constructor ``RingElem(ring, {exponent tuple: coefficient})`` packs
+tuples; it is the cold path used by parsing and a few samplers.  Two
+elements are equal iff their descriptors and key maps are equal, so
+``==`` is exact mathematical equality.
 """
 
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import inf
 from types import MappingProxyType
 
 from .errors import ParseError, RingMismatchError
@@ -211,6 +214,30 @@ def _wrap(ring: CoeffRing, packed: dict) -> "RingElem":
     return elem
 
 
+def fused_mul(acc: dict, c: "RingElem", d_items) -> None:
+    """Add the key map of c * d into the raw map ``acc``, the one loop of
+    coefficient products.  ``d_items`` are d's (key, coefficient) pairs in
+    ascending key order, so the loop stops at the first pair whose key sum
+    reaches ``CoeffRing._limit`` (None truncates nothing)."""
+    limit = c.ring._limit or inf
+    for k1, c1 in c._t.items():
+        room = limit - k1
+        for k2, c2 in d_items:
+            if k2 >= room:
+                break
+            k = k1 + k2
+            if k in acc:
+                acc[k] += c1 * c2
+            else:
+                acc[k] = c1 * c2
+
+
+def wrap_sums(ring: CoeffRing, accs: dict) -> dict:
+    """The nonzero elements of the raw key maps ``accs`` (filled by
+    ``fused_mul``), by the same keys, each map canonicalised once."""
+    return {g: _wrap(ring, acc) for g, raw in accs.items() if (acc := _canonical(raw))}
+
+
 class RingElem:
     """A graded ring element in canonical sparse form.
 
@@ -316,37 +343,11 @@ class RingElem:
         if not isinstance(other, RingElem):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            if not other:
-                return self.ring.zero()
-            return _wrap(self.ring, _canonical({k: c * other for k, c in self._t.items()}))
+            other = self.ring.from_coeff(other)
         self._check_ring(other)
-        ring = self.ring
-        limit = ring._limit
-        left, right = self._t, other._t
         terms: dict = {}
-        if limit is None:
-            for k1, c1 in left.items():
-                for k2, c2 in right.items():
-                    k = k1 + k2
-                    if k in terms:
-                        terms[k] += c1 * c2
-                    else:
-                        terms[k] = c1 * c2
-        else:
-            # Ascending keys let the inner loop stop at the first pair that
-            # truncation drops.
-            right = sorted(right.items())
-            for k1, c1 in left.items():
-                room = limit - k1
-                for k2, c2 in right:
-                    if k2 >= room:
-                        break
-                    k = k1 + k2
-                    if k in terms:
-                        terms[k] += c1 * c2
-                    else:
-                        terms[k] = c1 * c2
-        return _wrap(ring, _canonical(terms))
+        fused_mul(terms, self, sorted(other._t.items()))
+        return _wrap(self.ring, _canonical(terms))
 
     __rmul__ = __mul__
 

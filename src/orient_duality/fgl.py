@@ -131,14 +131,9 @@ class Series(NilPoly):
         if lin != ring.one() and lin != -ring.one():
             raise ValueError("reversion needs linear coefficient +-1")
         unit = 1 if lin == ring.one() else -1
-        rev = Series.monomial(self.space, ring, (1,), unit)
-        for d in range(2, self.trunc + 1):
-            err = self.compose(rev)[d]
-            if err:
-                rev = rev + Series.monomial(self.space, ring, (d,), err * (-unit))
-        if self.compose(rev) != Series.identity(ring, self.trunc):
-            raise InternalConsistencyError("series reversion failed to verify")
-        return rev
+        x = Series.identity(ring, self.trunc)
+        return _solve_by_degree(x * unit, lambda rev: self.compose(rev) - x, unit,
+                                "series reversion failed to verify")
 
     def eval_nilpotent(self, arg):
         """sum(s[d] * arg^d, d >= 1) for a nilpotent argument.
@@ -331,12 +326,7 @@ class FGL:
         ring, table = self.ring, self.coeffs
         c = [ring.one()]
         for m in range(1, self.truncation):
-            cm = ring.zero()
-            for i in range(1, m + 1):
-                a = table.get((i, 1))
-                if a:
-                    cm = cm - a * c[m - i]
-            c.append(cm)
+            c.append(-sum((a * c[m - i] for (i, j), a in table.items() if j == 1 and i <= m), ring.zero()))
         coeffs = [ring.zero()] + [cm * Fraction(1, m + 1) for m, cm in enumerate(c)]
         log = Series.make(ring, self.truncation, coeffs)
         self._validate_log(log)
@@ -388,14 +378,22 @@ class FGL:
 
 def _solve_inverse(F: FGL) -> Series:
     x = F.x_series()
-    inv = -x
-    for d in range(2, F.truncation + 1):
-        err = apply_law(F, x, inv)[d]
-        if err:
-            inv = inv + Series.monomial(x.space, F.ring, (d,), -err)
-    if apply_law(F, x, inv):
-        raise InternalConsistencyError("formal inverse failed to verify")
-    return inv
+    return _solve_by_degree(-x, lambda inv: apply_law(F, x, inv), 1, "formal inverse failed to verify")
+
+
+def _solve_by_degree(s: Series, defect, unit: int, failure: str) -> Series:
+    """The series s + O(x^2) with defect(s) = 0, where adding c x^d to s
+    (d >= 2) adds unit * c x^d + O(x^(d+1)) to the defect.  Each round
+    cancels the defect's lowest term, so the last evaluation is the check."""
+    for _ in range(s.trunc):
+        err = defect(s)
+        if not err:
+            return s
+        (d,), c = min(err.terms.items())
+        if d < 2:
+            break
+        s = s + Series.monomial(s.space, s.ring, (d,), c * -unit)
+    raise InternalConsistencyError(failure)
 
 
 def _series_on_nilpoly(s: Series, arg: NilPoly) -> NilPoly:

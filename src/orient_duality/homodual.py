@@ -34,14 +34,17 @@ turn), which follows from the shape's pullback and Gysin map:
 runs the cup product's kernel ``spaces.packed_pairs`` with the keys of
 alpha negated: each term e of alpha walks the box b <= n - e and looks a
 up at b + e, or tests every value of a where a has fewer values than that
-box, and sums the coefficient products of each b once.  ``cross_hom`` is
-the shared external product.
+box.  The slants contract one block of exponents, ``pair`` is the slant
+onto the point, and every output sums its coefficient products through
+``algebra.fused_mul``.  ``cross_hom`` is the shared external product.
 
 The projective bundle decomposition is realised by ``psi``/``pbt_section``
 for projections that drop a single factor.
 """
 
-from .algebra import CoeffRing, RingElem
+from collections import defaultdict
+
+from .algebra import CoeffRing, RingElem, fused_mul, wrap_sums
 from .errors import RingMismatchError, SpaceMismatchError
 from .fgl import FGL
 from .gysin import diagonal_kernel_class, diagonal_section, placed_kernel
@@ -135,15 +138,11 @@ def _check_kinds(alpha, a):
 
 
 def pair(alpha: CohClass, a: HomClass) -> RingElem:
-    """The evaluation <alpha, a> in the coefficient ring."""
+    """The evaluation <alpha, a> in the coefficient ring: the slant
+    alpha / a, which lands on the point."""
     _check_kinds(alpha, a)
     alpha._check(a)
-    out = alpha.ring.zero()
-    for e, c in alpha.terms.items():
-        v = a.terms.get(e)
-        if v is not None:
-            out = out + c * v
-    return out
+    return slant_l(alpha, a).coeff(())
 
 
 def pushforward_hom(f: Morphism, a: HomClass) -> HomClass:
@@ -258,17 +257,7 @@ def slant_l(alpha: CohClass, a: HomClass) -> CohClass:
         raise SpaceMismatchError(
             "slant needs %s to end with %s" % (alpha.space, a.space)
         )
-    x_space = Space(alpha.space.factors[:kx])
-    terms = {}
-    for e, c in alpha.terms.items():
-        v = a.terms.get(e[kx:])
-        if v is None:
-            continue
-        u = e[:kx]
-        contrib = c * v
-        prev = terms.get(u)
-        terms[u] = contrib if prev is None else prev + contrib
-    return CohClass(x_space, alpha.ring, terms)
+    return _contract(alpha, a, slice(None, kx), slice(kx, None))
 
 
 def slant_r(alpha: CohClass, b: HomClass) -> HomClass:
@@ -281,17 +270,22 @@ def slant_r(alpha: CohClass, b: HomClass) -> HomClass:
         raise SpaceMismatchError(
             "slant needs %s to start with %s" % (b.space, alpha.space)
         )
-    y_space = Space(b.space.factors[kx:])
-    values = {}
-    for be, v in b.terms.items():
-        e, f = be[:kx], be[kx:]
-        c = alpha.terms.get(e)
-        if c is None:
-            continue
-        contrib = c * v
-        prev = values.get(f)
-        values[f] = contrib if prev is None else prev + contrib
-    return HomClass(y_space, alpha.ring, values)
+    return _contract(b, alpha, slice(kx, None), slice(None, kx))
+
+
+def _contract(big: SparseClass, small: SparseClass, keep: slice, match: slice) -> SparseClass:
+    """Both slants: the class of ``big``'s kind on its factors ``keep``,
+    whose coefficient at u sums c * small(e[match]) over the terms (e, c)
+    of big with e[keep] = u.  Each coefficient of small is sorted once."""
+    if big.ring != small.ring:
+        raise RingMismatchError("classes over different coefficient rings")
+    right = {f: sorted(d._t.items()) for f, d in small.terms.items()}
+    sums = defaultdict(dict)
+    for e, c in big.terms.items():
+        d = right.get(e[match])
+        if d is not None:
+            fused_mul(sums[e[keep]], c, d)
+    return big._like(wrap_sums(big.ring, sums), Space(big.space.factors[keep]))
 
 
 # -- fundamental classes and duality ----------------------------------------

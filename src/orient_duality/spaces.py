@@ -24,8 +24,9 @@ cached halves of the factors, and looks the right operand up by key; where
 the right operand has fewer terms than that box, and on a simplex, it
 tests every pair by one lookup in the table instead (after Monagan and
 Pearce's sparse products, which touch only the monomials that survive).
-The coefficient products of one output tuple are summed into one raw
-ring-key map, which is canonicalised and wrapped once.
+The coefficient products of one output tuple go into one raw ring-key
+map through ``algebra.fused_mul``, the loop behind every product of ring
+elements, and ``algebra.wrap_sums`` canonicalises and wraps each map once.
 
 Morphisms come in four generator shapes plus composites:
 
@@ -40,11 +41,12 @@ since they depend on the group law.
 
 import json
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import CoeffRing, RingElem, _canonical, _wrap
+from .algebra import CoeffRing, RingElem, fused_mul, wrap_sums
 from .errors import (
     ParseError,
     RingMismatchError,
@@ -157,21 +159,19 @@ def packed_pairs(left: "SparseClass", right: "SparseClass", total: int, sign: in
     the sums of two cached halves (``_half_box``), and looks ``right`` up
     by key: at b for the product (g = e + b), at b + e for the cap product
     (g = b).  Where ``right`` has fewer terms than that box, and on the
-    simplex tables of ``fgl``, it tests every pair instead.  The
-    coefficient products are fused: each g sums c * d into one raw
-    ring-key map, truncated as ``RingElem`` products are, and is
-    canonicalised and wrapped once at the end."""
+    simplex tables of ``fgl``, it tests every pair instead.  Each g sums
+    its products c * d into one raw ring-key map by ``fused_mul``, over
+    the ring keys of d sorted once per call, and ``wrap_sums`` cleans the
+    maps at the end."""
     if not left.terms or not right.terms:
         return {}
-    space, ring = left.space, left.ring
+    space = left.space
     keys, expos = packed_keys(space, total)
-    limit = ring._limit if ring._limit is not None else float("inf")
-    # ascending ring keys let the truncated product stop at the limit
     by_key = {keys[f]: sorted(d._t.items()) for f, d in right.terms.items()}
     find = by_key.get
     walk = total == space.total_dim
     half = space.nfactors // 2
-    out: dict = {}
+    out = defaultdict(dict)
     for e, c in left.terms.items():
         ke = keys[e]
         if walk:
@@ -187,27 +187,9 @@ def packed_pairs(left: "SparseClass", right: "SparseClass", total: int, sign: in
         else:
             shift = sign * ke
             hits = [(g, d) for kf, d in by_key.items() if (g := kf + shift) in expos]
-        terms = c._t.items()
         for g, d in hits:
-            acc = out.get(g)
-            if acc is None:
-                acc = out[g] = {}
-            for k1, c1 in terms:
-                room = limit - k1
-                for k2, c2 in d:
-                    if k2 >= room:
-                        break
-                    k = k1 + k2
-                    if k in acc:
-                        acc[k] += c1 * c2
-                    else:
-                        acc[k] = c1 * c2
-    result = {}
-    for g, acc in out.items():
-        acc = _canonical(acc)
-        if acc:
-            result[expos[g]] = _wrap(ring, acc)
-    return result
+            fused_mul(out[g], c, d)
+    return wrap_sums(left.ring, {expos[g]: acc for g, acc in out.items()})
 
 
 def parse_exponents(space: Space, raw, what: str) -> tuple[int, ...]:
@@ -405,6 +387,8 @@ class CohClass(SparseClass):
         return self.space.total_dim
 
     def __pow__(self, n: int) -> "CohClass":
+        if n < 0:
+            raise ValueError("negative powers are not defined here")
         out = CohClass.one(self.space, self.ring)
         for _ in range(n):
             out = out * self

@@ -581,3 +581,35 @@ def test_nilpoly_rejects_malformed_tuples():
         NilPoly(sp, ring, {(-1, 2): c})
     # well-formed tuples above the total degree are still dropped
     assert NilPoly(sp, ring, {(2, 2): c, (1, 2): c}).terms == {(1, 2): c}
+
+
+def test_series_reversion_with_unit_minus_one():
+    ring = CoeffRing.multiplicative(7)
+    beta = ring.gen(0)
+    s = Series.make(ring, 7, [0, -1, beta, 3, 0, -beta])
+    rev = s.reversion()
+    assert rev[1] == -ring.one()
+    assert s.compose(rev) == Series.identity(ring, 7) == rev.compose(s)
+
+
+def test_degree_solver_reports_a_defect_it_cannot_cancel(monkeypatch):
+    """Reversion and the formal inverse share one solver: a defect in
+    degree 1, which no correction of degree >= 2 reaches, or one that
+    ignores the corrections, ends in each caller's own failure text."""
+    import orient_duality.fgl as fgl_mod
+
+    ring = CoeffRing.multiplicative(5)
+    x = Series.identity(ring, 5)
+    s = Series.make(ring, 5, [0, 1, 1])
+    real_compose, real_apply = Series.compose, fgl_mod.apply_law
+    for broken in (
+        lambda self, inner: real_compose(self, inner) + x,
+        lambda self, inner: x + Series.make(ring, 5, [0, 0, 0, 1]),
+    ):
+        monkeypatch.setattr(Series, "compose", broken)
+        with pytest.raises(InternalConsistencyError, match="^series reversion failed to verify$"):
+            s.reversion()
+    monkeypatch.setattr(Series, "compose", real_compose)
+    monkeypatch.setattr(fgl_mod, "apply_law", lambda F, p, q: real_apply(F, p, q) + x * 2)
+    with pytest.raises(InternalConsistencyError, match="^formal inverse failed to verify$"):
+        multiplicative_law(5).inverse()

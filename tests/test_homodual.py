@@ -391,3 +391,20 @@ def test_hom_render(mult):
     a = HomClass.delta(sp, mult.ring, (1, 0)) + HomClass.delta(sp, mult.ring, (0, 0), 2)
     assert a.render() == "z^(0,0): 2; z^(1,0): 1"
     assert HomClass.zero(sp, mult.ring).render() == "0"
+
+
+def test_slants_and_pair_check_the_ring(mult):
+    """The fused products skip the per-element ring check, so the slants
+    and the pairing check once, even where no term would meet another."""
+    other = additive_law(N).ring
+    sq, line = Space((1, 1)), Space((1,))
+    for alpha, a in (
+        (CohClass.monomial(sq, mult.ring, (1, 0)), HomClass.delta(line, other, (1,))),
+        (CohClass.monomial(sq, mult.ring, (1, 1)), HomClass.delta(line, other, (1,))),
+    ):
+        with pytest.raises(RingMismatchError):
+            slant_l(alpha, a)
+    with pytest.raises(RingMismatchError):
+        slant_r(CohClass.monomial(line, mult.ring, (1,)), HomClass.delta(sq, other, (0, 1)))
+    with pytest.raises(RingMismatchError):
+        pair(CohClass.one(line, mult.ring), HomClass.delta(line, other, (1,)))

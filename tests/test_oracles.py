@@ -12,6 +12,10 @@ definitions, evaluated the slow way:
   the box of each term);
 * the scratch-polynomial product loops over pairs of exponent tuples and
   drops a pair by the sum of its total degrees;
+* the pairing and both slants sum one product per term, each by the
+  tuple-keyed ring product (``naive_pair``, ``naive_slant_l``,
+  ``naive_slant_r``: the loops they ran before their products went
+  through the fused accumulator);
 * (f_* a)(z^e) = a(f^* z^e) for every basis monomial of the target;
 * (f^! a)(z^e) = <f_!(z^e), a> for every basis monomial of the source;
 * the universal law's table, expanded on first read, against the eager
@@ -45,7 +49,7 @@ from orient_duality.fgl import (
     universal_law,
 )
 from orient_duality.gysin import pushforward_coh
-from orient_duality.homodual import HomClass, cap, pair, pushforward_hom, shriek_hom
+from orient_duality.homodual import HomClass, cap, pair, pushforward_hom, shriek_hom, slant_l, slant_r
 from orient_duality import spaces
 from orient_duality.spaces import (
     CohClass,
@@ -174,10 +178,56 @@ def naive_nilpoly_product(x: NilPoly, y: NilPoly) -> NilPoly:
     return type(x)(x.space, x.ring, terms)
 
 
+def term_mul(c: RingElem, d: RingElem) -> RingElem:
+    """c * d by the tuple-keyed product, which shares no code with the
+    fused accumulator."""
+    return RingElem(c.ring, tuple_mul(c, d))
+
+
+def naive_pair(alpha: CohClass, a: HomClass) -> RingElem:
+    """<alpha, a>, one product and ``RingElem`` sum per term."""
+    out = alpha.ring.zero()
+    for e, c in alpha.terms.items():
+        v = a.terms.get(e)
+        if v is not None:
+            out = out + term_mul(c, v)
+    return out
+
+
+def naive_slant_l(alpha: CohClass, a: HomClass) -> CohClass:
+    """alpha / a = sum alpha_(u,v) a(z^v) z^u, one product and sum per term."""
+    kx = alpha.space.nfactors - a.space.nfactors
+    terms: dict = {}
+    for e, c in alpha.terms.items():
+        v = a.terms.get(e[kx:])
+        if v is None:
+            continue
+        u = e[:kx]
+        contrib = term_mul(c, v)
+        prev = terms.get(u)
+        terms[u] = contrib if prev is None else prev + contrib
+    return CohClass(Space(alpha.space.factors[:kx]), alpha.ring, terms)
+
+
+def naive_slant_r(alpha: CohClass, b: HomClass) -> HomClass:
+    """(alpha \\ b)(z^f) = sum_e alpha_e b(z^e z^f), one product and sum per term."""
+    kx = alpha.space.nfactors
+    values: dict = {}
+    for be, v in b.terms.items():
+        e, f = be[:kx], be[kx:]
+        c = alpha.terms.get(e)
+        if c is None:
+            continue
+        contrib = term_mul(c, v)
+        prev = values.get(f)
+        values[f] = contrib if prev is None else prev + contrib
+    return HomClass(Space(b.space.factors[kx:]), alpha.ring, values)
+
+
 def oracle_pushforward_hom(f, a: HomClass) -> HomClass:
     values = {}
     for e in basis(f.target):
-        v = pair(f.pullback(CohClass.monomial(f.target, a.ring, e)), a)
+        v = naive_pair(f.pullback(CohClass.monomial(f.target, a.ring, e)), a)
         if v:
             values[e] = v
     return HomClass(f.target, a.ring, values)
@@ -186,7 +236,7 @@ def oracle_pushforward_hom(f, a: HomClass) -> HomClass:
 def oracle_shriek_hom(f, a: HomClass, law) -> HomClass:
     values = {}
     for e in basis(f.source):
-        v = pair(pushforward_coh(f, CohClass.monomial(f.source, a.ring, e), law), a)
+        v = naive_pair(pushforward_coh(f, CohClass.monomial(f.source, a.ring, e), law), a)
         if v:
             values[e] = v
     return HomClass(f.source, a.ring, values)
@@ -474,6 +524,61 @@ def test_box_walk_matches_pair_loops(data):
     capped = cap(x, a)
     assert typed_class(capped) == typed_class(HomClass(space, ring, naive_packed_pairs(table, x.terms, a.terms, -1)))
     assert capped == naive_cap(x, a)
+
+
+@st.composite
+def slant_spaces(draw):
+    """Up to two factors of dimension 0 to 2, so X x Y has at most 81 tuples."""
+    return Space(tuple(draw(st.lists(st.sampled_from((0, 1, 1, 2)), max_size=2))))
+
+
+def cancelling(data, ring: CoeffRing, big: dict, small: dict, kept: list, matched: list, place) -> list:
+    """Make some outputs of a contraction cancel to zero: ``small`` takes
+    one value at two matched tuples v1, v2, and at each chosen kept tuple w
+    ``big`` holds only c at place(w, v1) and -c at place(w, v2).  Returns
+    the chosen w."""
+    if len(matched) < 2:
+        return []
+    v1, v2 = data.draw(st.lists(st.sampled_from(matched), min_size=2, max_size=2, unique=True))
+    small[v1] = small[v2] = data.draw(box_coeffs(ring))
+    chosen = data.draw(st.lists(st.sampled_from(kept), min_size=1, unique=True))
+    for w in chosen:
+        for v in matched:
+            big.pop(place(w, v), None)
+        c = data.draw(box_coeffs(ring))
+        big[place(w, v1)], big[place(w, v2)] = c, -c
+    return chosen
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_slants_and_pair_match_per_term_loops(data):
+    """The fused slants and pairing against one product and sum per term,
+    in all three rings, with universal coefficients at the truncation
+    limit and, half the time, outputs whose contributions cancel."""
+    ring = data.draw(st.sampled_from(BOX_RINGS))
+    X, Y = data.draw(slant_spaces()), data.draw(slant_spaces())
+    XY = X.times(Y)
+    alpha, a = data.draw(box_terms(ring, XY)), data.draw(box_terms(ring, Y))
+    gamma, b = data.draw(box_terms(ring, X)), data.draw(box_terms(ring, XY))
+    beta, h = data.draw(box_terms(ring, Y)), data.draw(box_terms(ring, Y))
+    zero_l = zero_r = zero_pair = []
+    if data.draw(st.booleans()):
+        zero_l = cancelling(data, ring, alpha, a, basis(X), basis(Y), lambda u, v: u + v)
+        zero_r = cancelling(data, ring, b, gamma, basis(Y), basis(X), lambda f, e: e + f)
+        zero_pair = cancelling(data, ring, beta, h, [()], basis(Y), lambda _, v: v)
+    alpha, a = CohClass(XY, ring, alpha), HomClass(Y, ring, a)
+    gamma, b = CohClass(X, ring, gamma), HomClass(XY, ring, b)
+    beta, h = CohClass(Y, ring, beta), HomClass(Y, ring, h)
+    for got, want, zeros in (
+        (slant_l(alpha, a), naive_slant_l(alpha, a), zero_l),
+        (slant_r(gamma, b), naive_slant_r(gamma, b), zero_r),
+    ):
+        assert typed_class(got) == typed_class(want)
+        assert all(got.terms.values()) and not set(zeros) & set(got.terms)
+    got = pair(beta, h)
+    assert typed(got.terms) == typed(naive_pair(beta, h).terms)
+    assert not (zero_pair and got)
 
 
 @pytest.mark.parametrize("product", ["cup", "cap"])

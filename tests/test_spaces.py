@@ -109,6 +109,20 @@ def test_cup_known_product():
     assert (a * b).coeff((2, 1)) == beta
 
 
+def test_cup_powers():
+    sp = Space((2, 1))
+    a = CohClass.zeta(sp, RING, 0) + CohClass.zeta(sp, RING, 1) * RING.gen(0)
+    assert a ** 0 == CohClass.one(sp, RING)
+    assert a ** 2 == a * a
+    assert not a ** 4
+    # a negative power is an error, as for ring elements, never the unit
+    for n in (-1, -3):
+        with pytest.raises(ValueError, match="negative powers"):
+            a ** n
+        with pytest.raises(ValueError, match="negative powers"):
+            RING.gen(0) ** n
+
+
 def test_scaling():
     sp = Space((1,))
     z = CohClass.zeta(sp, RING, 0)
