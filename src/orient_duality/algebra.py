@@ -233,9 +233,10 @@ def fused_mul(acc: dict, c: "RingElem", d_items) -> None:
 
 
 def wrap_sums(ring: CoeffRing, accs: dict) -> dict:
-    """The nonzero elements of the raw key maps ``accs`` (filled by
-    ``fused_mul``), by the same keys, each map canonicalised once."""
-    return {g: _wrap(ring, acc) for g, raw in accs.items() if (acc := _canonical(raw))}
+    """The elements of the raw key maps ``accs`` (filled by ``fused_mul``),
+    by the same keys, each map canonicalised once; zeros are kept, for
+    ``spaces.SparseClass._like`` to drop."""
+    return {g: _wrap(ring, _canonical(raw)) for g, raw in accs.items()}
 
 
 class RingElem:

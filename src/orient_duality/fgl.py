@@ -40,7 +40,7 @@ proved integral before being returned.
 from fractions import Fraction
 
 from .algebra import CoeffRing, RingElem, RingKind
-from .errors import InternalConsistencyError, SpaceMismatchError, TruncationUnsoundError
+from .errors import InternalConsistencyError, TruncationUnsoundError
 from .spaces import Space, SparseClass
 
 
@@ -54,13 +54,10 @@ class NilPoly(SparseClass):
     __slots__ = ()
 
     def __init__(self, space: Space, ring: CoeffRing, terms: dict):
+        # a tuple outside the box is above the bound too
         bound = space.factors[0]
-        for e in terms:
-            if len(e) != space.nfactors:
-                raise SpaceMismatchError("exponent tuple %r does not fit %s" % (e, space))
-            if any(x < 0 for x in e):
-                raise ValueError("negative exponent in %r" % (e,))
-        super().__init__(space, ring, {e: c for e, c in terms.items() if c and sum(e) <= bound})
+        inside = self._split_box(space, terms)[0]
+        super().__init__(space, ring, {e: c for e, c in inside.items() if sum(e) <= bound})
 
     def _top_degree(self) -> int:
         return self.space.factors[0]
@@ -145,6 +142,15 @@ class Series(NilPoly):
         if self[0]:
             raise ValueError("eval_nilpotent expects zero constant term")
         return _power_sum(self, arg, arg * 0)
+
+
+def unit_reciprocal(ring: CoeffRing, u: list) -> list:
+    """The coefficients of 1/u(x) mod x^len(u) for u = sum u_i x^i with
+    u_0 = 1, with no division: v_0 = 1, v_m = -sum_(1<=i<=m) u_i v_(m-i)."""
+    v = [ring.one()]
+    for m in range(1, len(u)):
+        v.append(-sum((u[i] * v[m - i] for i in range(1, m + 1)), ring.zero()))
+    return v
 
 
 def _power_sum(s: Series, arg, out):
@@ -314,8 +320,8 @@ class FGL:
 
         A law given by its table solves it from the invariant differential:
         the linear-in-y part of the identity is log'(x) * F_y(x, 0) = 1 with
-        F_y(x, 0) = 1 + sum a(i,1) x^i, so log'(x) = sum c_m x^m with c_0 = 1
-        and c_m = -sum a(i,1) c_(m-i) over 1 <= i <= m.  The result is then
+        F_y(x, 0) = 1 + sum a(i,1) x^i, so log'(x) = 1/F_y(x, 0)
+        (``unit_reciprocal``).  The result is then
         verified against the full identity at full precision, which gives
         F = exp(log(x) + log(y)) and so associativity; a law given by its
         logarithm runs that check when it expands its table.
@@ -323,10 +329,8 @@ class FGL:
         return self.derived("log", None, self._solve_log)
 
     def _solve_log(self) -> Series:
-        ring, table = self.ring, self.coeffs
-        c = [ring.one()]
-        for m in range(1, self.truncation):
-            c.append(-sum((a * c[m - i] for (i, j), a in table.items() if j == 1 and i <= m), ring.zero()))
+        ring = self.ring
+        c = unit_reciprocal(ring, [ring.one()] + [self.a(i, 1) for i in range(1, self.truncation)])
         coeffs = [ring.zero()] + [cm * Fraction(1, m + 1) for m, cm in enumerate(c)]
         log = Series.make(ring, self.truncation, coeffs)
         self._validate_log(log)

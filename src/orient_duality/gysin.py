@@ -19,8 +19,10 @@ the projection formula requirement
     p1_!(K * p2^*(alpha)) = alpha        for every alpha on P^n,
 
 which pins C as the inverse of the pairing matrix M with M[k][l] =
-g_(n-k-l) (anti-triangular with unit anti-diagonal, hence invertible over
-any coefficient ring by back substitution, no division needed).  The
+g_(n-k-l).  M is the Hankel matrix of the point-class series
+G(x) = sum g_d x^d, with g_0 = 1, so its inverse is the Hankel matrix of
+one reciprocal: C[i][j] = [x^(i+j-n)] 1/G(x), zero for i + j < n, over any
+coefficient ring with no division (``fgl.unit_reciprocal``).  The
 kernels of P^n and the diagonal classes of product spaces are kept in the
 law's memo (``FGL.derived``).
 
@@ -32,7 +34,7 @@ for diagonals.
 from dataclasses import dataclass
 
 from .errors import SpaceMismatchError, RingMismatchError
-from .fgl import FGL
+from .fgl import FGL, unit_reciprocal
 from .spaces import (
     CohClass,
     Composite,
@@ -51,8 +53,8 @@ class GysinKernel:
     """Diagonal data for one projective space P^n.
 
     ``M[k][l] = g_(n-k-l)`` is the pairing matrix, ``C`` its two-sided
-    inverse, and ``K = sum C[i][j] z1^i z2^j`` the diagonal class on
-    P^n x P^n.
+    inverse, ``C[i][j] = [x^(i+j-n)] 1/(g_0 + ... + g_n x^n)``, and
+    ``K = sum C[i][j] z1^i z2^j`` the diagonal class on P^n x P^n.
     """
 
     n: int
@@ -68,26 +70,13 @@ def kernel(law: FGL, n: int) -> GysinKernel:
 
 def _solve_kernel(law: FGL, n: int) -> GysinKernel:
     ring = law.ring
-    zero = ring.zero()
     g = [law.pn_class(d) for d in range(n + 1)]
-    M = tuple(
-        tuple(g[n - k - l] if k + l <= n else zero for l in range(n + 1))
-        for k in range(n + 1)
-    )
-    # Solve M * C = I column by column; row k reads
-    #   sum_{j <= n-k} g_(n-k-j) c_j = delta_{k,l},
-    # and g_0 = 1 makes the j = n-k entry a unit.
-    C_cols = []
-    for l in range(n + 1):
-        col = [zero] * (n + 1)
-        for k in range(n, -1, -1):
-            acc = ring.one() if k == l else ring.zero()
-            for j in range(n - k):
-                if col[j]:
-                    acc = acc - g[n - k - j] * col[j]
-            col[n - k] = acc
-        C_cols.append(col)
-    C = tuple(tuple(C_cols[l][i] for l in range(n + 1)) for i in range(n + 1))
+    # M and C are the Hankel matrices of G(x) = sum g_d x^d and of h = 1/G:
+    # (MC)[i][j] = sum_k g_(n-i-k) h_(k+j-n) = [x^(j-i)] G h = delta_ij.
+    pad = [ring.zero()] * n
+    g_rev, h = g[::-1] + pad, pad + unit_reciprocal(ring, g)
+    M = tuple(tuple(g_rev[k + l] for l in range(n + 1)) for k in range(n + 1))  # g_(n-k-l)
+    C = tuple(tuple(h[i + j] for j in range(n + 1)) for i in range(n + 1))  # h_(i+j-n)
     square = Space((n, n))
     K = CohClass(square, ring, {(i, j): C[i][j] for i in range(n + 1) for j in range(n + 1)})
     return GysinKernel(n, M, C, K)

@@ -89,14 +89,10 @@ class HomClass(SparseClass):
     _NOUN = "basis tuple"
 
     def __init__(self, space: Space, ring: CoeffRing, values: dict):
-        clean = {}
-        bounds = space.factors
-        for expo, c in values.items():
-            if len(expo) != len(bounds) or any(e < 0 or e > n for e, n in zip(expo, bounds)):
-                raise SpaceMismatchError("basis tuple %r does not fit %s" % (expo, space))
-            if c:
-                clean[expo] = c
-        super().__init__(space, ring, clean)
+        inside, outside = self._split_box(space, values)
+        if outside:
+            raise SpaceMismatchError("basis tuple %r does not fit %s" % (outside[0], space))
+        super().__init__(space, ring, inside)
 
     @property
     def values(self) -> dict:

@@ -153,7 +153,7 @@ def packed_pairs(left: "SparseClass", right: "SparseClass", total: int, sign: in
     ``packed_keys(space, total)`` table: the product for sign 1
     (g = e + f), the cap product for sign -1 (g = f - e).  Both classes
     are on one space over one ring (the caller checks), and every tuple of
-    theirs is in the table.  Returns the nonzero coefficients by tuple.
+    theirs is in the table.  Returns the coefficients by tuple, zeros kept.
 
     On the whole box each term e of ``left`` walks the tuples b <= n - e,
     the sums of two cached halves (``_half_box``), and looks ``right`` up
@@ -223,11 +223,34 @@ class SparseClass:
         self.terms = terms
 
     def _like(self, terms: dict, space: Space | None = None):
-        """A class of the same kind over the same ring from in-range terms."""
+        """A class of the same kind over the same ring from in-range terms,
+        without their zeros: the one zero filter of every operation here."""
         out = object.__new__(type(self))
         out.space, out.ring = self.space if space is None else space, self.ring
         out.terms = {e: c for e, c in terms.items() if c}
         return out
+
+    @staticmethod
+    def _split_box(space: Space, terms: dict) -> tuple[dict, list]:
+        """The nonzero terms in the box of ``space`` and the tuples outside
+        it, checked in one pass per tuple: a wrong length raises
+        ``SpaceMismatchError``, then any negative exponent ``ValueError``."""
+        inside, outside = {}, []
+        bounds = space.factors
+        for expo, c in terms.items():
+            if len(expo) != len(bounds):
+                raise SpaceMismatchError("exponent tuple %r does not fit %s" % (expo, space))
+            fits = True
+            for e, n in zip(expo, bounds):
+                if e < 0:
+                    raise ValueError("negative exponent in %r" % (expo,))
+                if e > n:
+                    fits = False
+            if not fits:
+                outside.append(expo)
+            elif c:
+                inside[expo] = c
+        return inside, outside
 
     # -- constructors ----------------------------------------------------
 
@@ -354,20 +377,8 @@ class CohClass(SparseClass):
     _NOUN = "exponent list"
 
     def __init__(self, space: Space, ring: CoeffRing, terms: dict):
-        clean = {}
-        bounds = space.factors
-        for expo, c in terms.items():
-            if len(expo) != len(bounds):
-                raise SpaceMismatchError("exponent tuple %r does not fit %s" % (expo, space))
-            inside = True  # else dropped by the quotient relation z^(n+1) = 0
-            for e, n in zip(expo, bounds):
-                if e < 0:
-                    raise ValueError("negative exponent in %r" % (expo,))
-                if e > n:
-                    inside = False
-            if inside and c:
-                clean[expo] = c
-        super().__init__(space, ring, clean)
+        # a term outside the box is dropped by the quotient relation z^(n+1) = 0
+        super().__init__(space, ring, self._split_box(space, terms)[0])
 
     @staticmethod
     def one(space: Space, ring: CoeffRing) -> "CohClass":

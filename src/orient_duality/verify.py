@@ -137,24 +137,22 @@ def _sample_coeff(ring: CoeffRing, rng: random.Random):
     return c
 
 
-def _sample(cls, space: Space, ring: CoeffRing, rng: random.Random, window):
-    lo, hi = window if window is not None else (0, space.total_dim)
+def _sample(cls, space: Space, ring: CoeffRing, rng: random.Random):
     terms = {}
     for e in basis(space):
-        if lo <= sum(e) <= hi and rng.random() < 0.75:
+        if rng.random() < 0.75:
             terms[e] = _sample_coeff(ring, rng)
     return cls(space, ring, terms)
 
 
-def sample_class(space: Space, ring: CoeffRing, rng: random.Random, window=None) -> CohClass:
-    """A deterministic pseudo-random class; ``window=(lo, hi)`` restricts
-    the populated codimensions."""
-    return _sample(CohClass, space, ring, rng, window)
+def sample_class(space: Space, ring: CoeffRing, rng: random.Random) -> CohClass:
+    """A deterministic pseudo-random class."""
+    return _sample(CohClass, space, ring, rng)
 
 
-def sample_hom(space: Space, ring: CoeffRing, rng: random.Random, window=None) -> HomClass:
+def sample_hom(space: Space, ring: CoeffRing, rng: random.Random) -> HomClass:
     """The homology counterpart of ``sample_class``, drawn the same way."""
-    return _sample(HomClass, space, ring, rng, window)
+    return _sample(HomClass, space, ring, rng)
 
 
 # -- witness helpers --------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The digests pin the exact bytes the calculator prints, so a change that
 only means to make it faster cannot alter an answer unnoticed.  Most
-commands print class values; the four ``verify`` runs pin the report
+commands print class values (universal P8 the deepest diagonal kernel,
+nine reciprocal coefficients); the four ``verify`` runs pin the report
 format and the witnesses' absence (the universal grid at truncation 10
 holds the deepest series work, P3xP3xP3 the largest products on X x X);
 the two ``ring --parse`` runs pin the term order of rendered ring
@@ -69,6 +70,10 @@ GOLDEN = [
         "6fb334306ab1dd53d4d8ca07cb2799bd725f48a32ba9987cf551e514be1b92d3",
     ),
     (
+        ["kernel", "--theory", "universal", "--space", "P8", "--format", "json"],
+        "6554059faf806414914d4b5d8bef1606a38200d13fcda1fe4c67b51f99e8b720",
+    ),
+    (
         ["fundamental", "--theory", "universal", "--space", "P2xP3", "--format", "json"],
         "328748114e6bc4fb51d10911cd57bb62640605312cd5753d7698676338270d01",
     ),
@@ -110,6 +115,7 @@ GOLDEN_IDS = [
     "verify-multiplicative-P3xP3xP3",
     "verify-universal-grid",
     "kernel-universal-P2xP2",
+    "kernel-universal-P8",
     "fundamental-universal-P2xP3",
     "dualize-to-hom-universal-P2xP2",
     "dualize-to-coh-multiplicative-P2xP1",

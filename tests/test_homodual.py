@@ -68,6 +68,20 @@ def test_homclass_rejects_out_of_range(mult):
     assert CohClass(Space((1,)), mult.ring, terms) == CohClass.monomial(Space((1,)), mult.ring, (1,))
 
 
+def test_homclass_rejects_negative_exponent_with_value_error(mult):
+    # the checks of every constructor, in one order: length, sign, range
+    one = mult.ring.one()
+    with pytest.raises(ValueError, match="negative exponent"):
+        HomClass(Space((2,)), mult.ring, {(-1,): one})
+    for expo in ((5, -1), (-1, 5)):
+        with pytest.raises(ValueError, match="negative exponent"):
+            HomClass(Space((2, 2)), mult.ring, {expo: one})
+    with pytest.raises(SpaceMismatchError):
+        HomClass(Space((2, 2)), mult.ring, {(-1, 0, 0): one})
+    with pytest.raises(SpaceMismatchError, match=r"basis tuple \(3, 0\) does not fit P2xP2"):
+        HomClass(Space((2, 2)), mult.ring, {(3, 0): one})
+
+
 def test_container_kinds_never_mix(mult):
     sp, one = Space((2, 2)), mult.ring.one()
     terms = {(1, 0): one, (0, 1): one}

@@ -22,7 +22,10 @@ definitions, evaluated the slow way:
   construction that built it with the law (``eager_universal_table``);
 * Euler classes against the fold of F over [d](z) with the sequential
   [m] = F(x, [m-1]) (``sequential_euler``), and the doubling m-series
-  against the closed forms of the additive and multiplicative laws.
+  against the closed forms of the additive and multiplicative laws;
+* the diagonal kernel's C, read off one reciprocal series, against the
+  column-by-column back substitution of M C = I that once computed it
+  (``naive_kernel_matrix``).
 
 Each routine must agree with its oracle exactly, for every generator
 shape and for composites of two and three parts, in all three theories,
@@ -48,7 +51,7 @@ from orient_duality.fgl import (
     multiplicative_law,
     universal_law,
 )
-from orient_duality.gysin import pushforward_coh
+from orient_duality.gysin import kernel, pushforward_coh
 from orient_duality.homodual import HomClass, cap, pair, pushforward_hom, shriek_hom, slant_l, slant_r
 from orient_duality import spaces
 from orient_duality.spaces import (
@@ -723,3 +726,37 @@ def test_doubling_m_series_matches_closed_forms():
             binom = binom * (m - d + 1) // d
             closed.append((-beta) ** (d - 1) * binom)
         assert mult.m_series(m) == Series.make(mult.ring, N, closed)
+
+
+# -- the diagonal kernel against back substitution -----------------------------
+
+
+def naive_kernel_matrix(law, n: int) -> tuple:
+    """C with M C = I for M[k][l] = g_(n-k-l), solved column by column:
+    row k of column l reads sum_(j <= n-k) g_(n-k-j) c_j = delta_(k,l), and
+    g_0 = 1 makes the j = n-k entry a unit."""
+    ring = law.ring
+    g = [law.pn_class(d) for d in range(n + 1)]
+    cols = []
+    for l in range(n + 1):
+        col = [ring.zero()] * (n + 1)
+        for k in range(n, -1, -1):
+            acc = ring.one() if k == l else ring.zero()
+            for j in range(n - k):
+                if col[j]:
+                    acc = acc - g[n - k - j] * col[j]
+            col[n - k] = acc
+        cols.append(col)
+    return tuple(tuple(cols[l][i] for l in range(n + 1)) for i in range(n + 1))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_kernel_matches_back_substitution(kind):
+    law = law_for(kind, 9)
+    for n in range(9):
+        C = kernel(law, n).C
+        assert [[typed(c.terms) for c in row] for row in C] == [
+            [typed(c.terms) for c in row] for row in naive_kernel_matrix(law, n)
+        ]
+    if kind is RingKind.UNIVERSAL:
+        assert ("table", None) not in law._memo
