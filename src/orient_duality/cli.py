@@ -90,8 +90,11 @@ def parse_morphism(text: str, source: Space) -> Morphism:
         if not m:
             raise ParseError("malformed morphism token %r" % tok, position=pos)
         name, argstr = m.groups()
+        items = argstr.split(",") if argstr.strip() else []  # proj() maps to the point
+        if not all(s.strip() for s in items):
+            raise ParseError("empty argument in %r" % tok, position=pos)
         try:
-            args = [int(s) for s in argstr.split(",") if s.strip()]
+            args = [int(s) for s in items]
         except ValueError:
             raise ParseError("non-integer argument in %r" % tok, position=pos) from None
         try:
@@ -131,12 +134,6 @@ def _parse_class_json(text: str):
         raise ParseError("invalid JSON class literal: %s" % exc.msg, position=exc.pos) from None
 
 
-def _json_with_space(space: Space, obj: dict) -> dict:
-    out = {"space": space.render()}
-    out.update(obj)
-    return out
-
-
 def _write(args, payload: str) -> None:
     if not args.out:
         sys.stdout.write(payload)
@@ -148,12 +145,15 @@ def _write(args, payload: str) -> None:
         raise ValueError("cannot write %s: %s" % (args.out, exc.strerror or exc)) from None
 
 
-def _emit(args, text_form: str, json_obj) -> None:
+def _emit(args, result) -> None:
+    """Write a class in the requested format; only that form is built."""
     if args.format == "json":
-        payload = json.dumps(json_obj, indent=2) + "\n"
+        obj = {"space": result.space.render()}
+        obj.update(result.to_json_obj())
+        payload = json.dumps(obj, indent=2)
     else:
-        payload = text_form if text_form.endswith("\n") else text_form + "\n"
-    _write(args, payload)
+        payload = result.render()
+    _write(args, payload + "\n")
 
 
 def _default_truncation(space: Space) -> int:
@@ -207,7 +207,7 @@ def _cmd_ring(args) -> int:
         elem = ring.parse(args.parse)
         obj["parsed"] = elem.render()
         lines.append("parsed: %s" % elem.render())
-    _emit(args, "\n".join(lines), obj)
+    _write(args, (json.dumps(obj, indent=2) if args.format == "json" else "\n".join(lines)) + "\n")
     return 0
 
 
@@ -218,8 +218,7 @@ def _cmd_euler(args) -> int:
         degrees = tuple(_ascii_int(s) for s in args.degrees.split(",")) if args.degrees else ()
     except argparse.ArgumentTypeError as exc:
         raise ParseError("degrees must be a comma-separated integer list: %s" % exc) from None
-    cls = euler(space, degrees, law)
-    _emit(args, cls.render(), _json_with_space(space, cls.to_json_obj()))
+    _emit(args, euler(space, degrees, law))
     return 0
 
 
@@ -229,24 +228,21 @@ def _cmd_pushforward(args) -> int:
     biggest = max(_chain_spaces(f), key=lambda s: s.total_dim)
     law = _law(args, biggest)
     alpha = CohClass.from_json_obj(space, law.ring, _parse_class_json(getattr(args, "class")))
-    out = pushforward_coh(f, alpha, law)
-    _emit(args, out.render(), _json_with_space(f.target, out.to_json_obj()))
+    _emit(args, pushforward_coh(f, alpha, law))
     return 0
 
 
 def _cmd_kernel(args) -> int:
     space = Space.parse(args.space)
     law = _law(args, space)
-    K = diagonal_kernel_class(space, law)
-    _emit(args, K.render(), _json_with_space(K.space, K.to_json_obj()))
+    _emit(args, diagonal_kernel_class(space, law))
     return 0
 
 
 def _cmd_fundamental(args) -> int:
     space = Space.parse(args.space)
     law = _law(args, space)
-    cls = fundamental_class(space, law)
-    _emit(args, cls.render(), _json_with_space(space, cls.to_json_obj()))
+    _emit(args, fundamental_class(space, law))
     return 0
 
 
@@ -260,7 +256,7 @@ def _cmd_dualize(args) -> int:
     else:
         a = HomClass.from_json_obj(space, law.ring, obj)
         out = duality_to_coh(a, law)
-    _emit(args, out.render(), _json_with_space(space, out.to_json_obj()))
+    _emit(args, out)
     return 0
 
 

@@ -224,8 +224,8 @@ class FGL:
     * ``"kernel"``: the diagonal kernels of P^n, keyed by n (``gysin``);
     * ``"diagonal_class"``: the diagonal classes on X x X, keyed by the
       space X (``gysin``);
-    * ``"fundamental_class"``: the fundamental classes [X], keyed by X
-      (``homodual``).
+    * ``"fundamental_class"``: the fundamental classes [X], keyed by X,
+      fibres of projections included (``gysin``).
     """
 
     def __init__(self, ring: CoeffRing, truncation: int, coeffs: dict | None = None,

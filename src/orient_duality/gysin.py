@@ -5,12 +5,12 @@ over terms and linearly over the coefficient ring:
 
 * ``LinearEmbed`` (P^m in factor t of P^n):   z_t^e  ->  z_t^(e + n - m);
   in particular 1 maps to z_t^(n-m), the class of the subspace.
-* ``Projection`` dropping factor t:  z_t^e * rest  ->  g_(n_t - e) * rest,
-  where g_n is the point class of P^n (``fgl.pn_class``); dropping several
-  factors multiplies the corresponding g's.
+* ``Projection`` X -> the kept factors, with fibre Y the product of the
+  dropped ones:  alpha -> alpha / [Y], so z^e maps to
+  [Y](e|dropped) * z^(e|keep), where [Y] is the fundamental class of Y.
 * ``Diagonal`` at factor t: alpha -> pull(alpha) * K, where pull forgets
-  the duplicated slot and K is the diagonal kernel of P^(n_t) placed in
-  the two slots.
+  the duplicated slot and K is the diagonal kernel of P^(n_t) pulled back
+  to the two slots.
 * ``Permutation``: pullback along the inverse reordering.
 
 The diagonal kernel K = sum C_ij z1^i z2^j on P^n x P^n is determined by
@@ -26,9 +26,14 @@ coefficient ring with no division (``fgl.unit_reciprocal``).  The
 kernels of P^n and the diagonal classes of product spaces are kept in the
 law's memo (``FGL.derived``).
 
-The homological transposes f_* and f^! (``homodual``) use the same
-per-shape data: the point classes for projections and ``placed_kernel``
-for diagonals.
+Point classes enter through [P^n] and K_n only.  The point classes g_n
+(``fgl.pn_class``) are read in two places: the kernel K_n of P^n and the
+class [P^n](z^e) = g_(n-e), whose cross products are the fundamental
+classes [X] (``fundamental_class``, kept in the law's memo); every other
+formula puts these together by cross product, pullback or lookup.  The
+homological transposes f_* and f^! (``homodual``) use the same per-shape
+data: [fibre] for projections and ``placed_kernel``, the pullback of
+K_n to two slots, for diagonals.
 """
 
 from dataclasses import dataclass
@@ -39,6 +44,7 @@ from .spaces import (
     CohClass,
     Composite,
     Diagonal,
+    HomClass,
     LinearEmbed,
     Morphism,
     Permutation,
@@ -101,19 +107,16 @@ def pushforward_coh(f: Morphism, alpha: CohClass, law: FGL) -> CohClass:
         terms = {e[:t] + (e[t] + shift,) + e[t + 1 :]: c for e, c in alpha.terms.items()}
         return CohClass(f.target, alpha.ring, terms)
     if isinstance(f, Projection):
+        # alpha / [fibre], with the fibre's slots picked out of each term
+        weights = fundamental_class(f.fibre, law).terms
         dropped = f.dropped
-        dims = f.source.factors
         terms: dict = {}
         for e, c in alpha.terms.items():
-            for t in dropped:
-                c = c * law.pn_class(dims[t] - e[t])
-                if not c:
-                    break
-            if not c:
-                continue
-            expo = tuple(e[t] for t in f.keep)
-            prev = terms.get(expo)
-            terms[expo] = c if prev is None else prev + c
+            g = weights.get(tuple(e[t] for t in dropped))
+            if g is not None:
+                expo, c = tuple(e[t] for t in f.keep), c * g
+                prev = terms.get(expo)
+                terms[expo] = c if prev is None else prev + c
         return CohClass(f.target, alpha.ring, terms)
     if isinstance(f, Diagonal):
         return diagonal_section(f).pullback(alpha) * placed_kernel(f, law)
@@ -127,18 +130,11 @@ def pushforward_coh(f: Morphism, alpha: CohClass, law: FGL) -> CohClass:
 
 
 def placed_kernel(f: Diagonal, law: FGL) -> CohClass:
-    """The kernel of P^(n_t) in slots t, t+1 of ``f.target``, so that
-    f_!(alpha) = q^*(alpha) * placed_kernel(f) with q = diagonal_section(f)."""
+    """The kernel of P^(n_t) pulled back to slots t, t+1 of ``f.target``,
+    so that f_!(alpha) = q^*(alpha) * placed_kernel(f) with
+    q = diagonal_section(f)."""
     t = f.factor
-    k = f.target.nfactors
-    return CohClass(
-        f.target,
-        law.ring,
-        {
-            tuple(i if p == t else (j if p == t + 1 else 0) for p in range(k)): c
-            for (i, j), c in kernel(law, f.source.factors[t]).K.terms.items()
-        },
-    )
+    return Projection(f.target, (t, t + 1)).pullback(kernel(law, f.source.factors[t]).K)
 
 
 def diagonal_section(f: Diagonal) -> Projection:
@@ -175,3 +171,20 @@ def _diagonal_class(space: Space, law: FGL) -> CohClass:
     k = space.nfactors
     sigma = tuple(s for t in range(k) for s in (t, k + t))
     return Permutation(space.times(space), sigma).pullback(blocks)
+
+
+def fundamental_class(space: Space, law: FGL) -> HomClass:
+    """[X](z^e) = prod_t g_(n_t - e_t): the cross product of the factors'
+    classes [P^n](z^e) = g_(n-e).  Projections read the class of their
+    fibre, so the transfer of the point class along X -> pt is [X] itself.
+    Memoised on the law."""
+    return law.derived("fundamental_class", space, lambda: _fundamental_class(space, law))
+
+
+def _fundamental_class(space: Space, law: FGL) -> HomClass:
+    ring = law.ring
+    out = HomClass.point_class(ring)
+    for n in space.factors:
+        pn = HomClass(Space((n,)), ring, {(e,): law.pn_class(n - e) for e in range(n + 1)})
+        out = out.cross(pn)  # [P^n](z^e) = g_(n-e)
+    return out

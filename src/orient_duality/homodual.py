@@ -1,10 +1,11 @@
-"""Homology classes, products between the two sides, and duality maps.
+"""Products between homology and cohomology, and duality maps.
 
 Homology of a product of projective spaces is modelled as the graded dual
-of its cohomology: a class is the finite family of its values on the
-monomial basis, held in the sparse core ``spaces.SparseClass`` that
-cohomology classes use too (``values`` reads its map).  All operations
-below are forced by that model plus the Gysin structure:
+of its cohomology: a class (``spaces.HomClass``, re-exported here) is the
+finite family of its values on the monomial basis, held in the sparse
+core ``spaces.SparseClass`` that cohomology classes use too (``values``
+reads its map).  All operations below are forced by that model plus the
+Gysin structure:
 
 * ``pair(alpha, a)``            the evaluation <alpha, a>
 * ``pushforward_hom(f, a)``     (f_* a)(beta) = a(f^* beta)
@@ -13,7 +14,8 @@ below are forced by that model plus the Gysin structure:
 * ``cross_hom(a, b)``           (a x b)(e, f) = a(e) * b(f)
 * ``slant_l(alpha, a)``         alpha / a, contracting the trailing block
 * ``slant_r(alpha, b)``         alpha \\ b, contracting the leading block
-* ``fundamental_class(X, law)`` [X](z^e) = prod g_(n_t - e_t)
+* ``fundamental_class(X, law)`` [X](z^e) = prod g_(n_t - e_t), built in
+                                ``gysin`` and re-exported here
 * ``duality_to_hom``            alpha -> alpha cap [X]
 * ``duality_to_coh``            a -> K_X / a  (diagonal class slant a)
 
@@ -22,21 +24,26 @@ generator shape has a direct formula (composites apply their parts in
 turn), which follows from the shape's pullback and Gysin map:
 
 * ``Projection``:  f_* keeps the values at tuples that vanish on the
-  dropped slots; (f^! a)(e) = a(e|keep) * prod_(t dropped) g_(n_t - e_t);
+  dropped slots; f^! a = a x [fibre], placed in the source's slots:
+  (f^! a)(e) = a(e|keep) * [fibre](e|dropped);
 * ``LinearEmbed``: f_* keeps every value at its tuple; f^! moves slot t
   down by n - m;
 * ``Diagonal``:    f_* spreads a(v) over the tuples that split v_t into
-  (i, v_t - i); f^! a = q_*(K_t cap a) with K_t the kernel placed in the
-  two slots and q the projection that forgets the second one;
+  (i, v_t - i); f^! a = q_*(K_t cap a) with K_t the kernel pulled back to
+  the two slots and q the projection that forgets the second one;
 * ``Permutation``: f_* reorders tuples; f^! = (f^-1)_*.
 
-``fundamental_class`` is kept in the law's memo (``FGL.derived``); ``cap``
-runs the cup product's kernel ``spaces.packed_pairs`` with the keys of
-alpha negated: each term e of alpha walks the box b <= n - e and looks a
-up at b + e, or tests every value of a where a has fewer values than that
-box.  The slants contract one block of exponents, ``pair`` is the slant
-onto the point, and every output sums its coefficient products through
-``algebra.fused_mul``.  ``cross_hom`` is the shared external product.
+Point classes enter through [P^n] and K_n: no formula here reads a point
+class itself, only [X] and the kernels that ``gysin`` builds and keeps in
+the law's memo (``FGL.derived``).
+
+``cap`` runs the cup product's kernel ``spaces.packed_pairs`` with the
+keys of alpha negated: each term e of alpha walks the box b <= n - e and
+looks a up at b + e, or tests every value of a where a has fewer values
+than that box.  The slants contract one block of exponents, ``pair`` is
+the slant onto the point, and every output sums its coefficient products
+through ``algebra.fused_mul``.  ``cross_hom`` is the shared external
+product.
 
 The projective bundle decomposition is realised by ``psi``/``pbt_section``
 for projections that drop a single factor.
@@ -44,21 +51,21 @@ for projections that drop a single factor.
 
 from collections import defaultdict
 
-from .algebra import CoeffRing, RingElem, fused_mul, wrap_sums
+from .algebra import RingElem, fused_mul, wrap_sums
 from .errors import RingMismatchError, SpaceMismatchError
 from .fgl import FGL
-from .gysin import diagonal_kernel_class, diagonal_section, placed_kernel
+from .gysin import diagonal_kernel_class, diagonal_section, fundamental_class, placed_kernel
 from .spaces import (
     CohClass,
     Composite,
     Diagonal,
+    HomClass,
     LinearEmbed,
     Morphism,
     Permutation,
     Projection,
     Space,
     SparseClass,
-    basis,
     packed_pairs,
 )
 
@@ -78,48 +85,6 @@ __all__ = [
     "psi",
     "pbt_section",
 ]
-
-
-class HomClass(SparseClass):
-    """A homology class: values on the monomial basis, sparsely stored."""
-
-    __slots__ = ()
-    _JSON_KEY = "values"
-    _LITERAL = "homology"
-    _NOUN = "basis tuple"
-
-    def __init__(self, space: Space, ring: CoeffRing, values: dict):
-        inside, outside = self._split_box(space, values)
-        if outside:
-            raise SpaceMismatchError("basis tuple %r does not fit %s" % (outside[0], space))
-        super().__init__(space, ring, inside)
-
-    @property
-    def values(self) -> dict:
-        """The values on the basis: a read-only alias of ``terms``."""
-        return self.terms
-
-    @classmethod
-    def delta(cls, space: Space, ring: CoeffRing, expo: tuple[int, ...], coeff=None) -> "HomClass":
-        """The functional dual to one basis monomial."""
-        return cls.monomial(space, ring, expo, coeff)
-
-    @staticmethod
-    def point_class(ring: CoeffRing) -> "HomClass":
-        return HomClass.delta(Space.point(), ring, ())
-
-    value = SparseClass.coeff
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self._sorted_terms():
-            parts.append("z^(%s): %s" % (",".join(str(x) for x in e), c.render()))
-        return "; ".join(parts)
-
-    def __repr__(self) -> str:
-        return "HomClass(%s; %s)" % (self.space.render(), self.render())
 
 
 # -- pairings and products -------------------------------------------------
@@ -197,15 +162,9 @@ def shriek_hom(f: Morphism, a: HomClass, law: FGL) -> HomClass:
             if w[t] >= shift:
                 values[w[:t] + (w[t] - shift,) + w[t + 1 :]] = c
     elif isinstance(f, Projection):
-        dims = f.source.factors
+        # a x [fibre], each value placed at its slots of the source
+        weights = fundamental_class(f.fibre, law).terms.items()
         dropped = f.dropped
-        weights = []
-        for d in basis(Space(tuple(dims[t] for t in dropped))):
-            g = law.ring.one()
-            for t, x in zip(dropped, d):
-                g = g * law.pn_class(dims[t] - x)
-            if g:
-                weights.append((d, g))
         expo = [0] * f.source.nfactors
         for w, c in a.terms.items():
             for t, x in zip(f.keep, w):
@@ -284,27 +243,7 @@ def _contract(big: SparseClass, small: SparseClass, keep: slice, match: slice) -
     return big._like(wrap_sums(big.ring, sums), Space(big.space.factors[keep]))
 
 
-# -- fundamental classes and duality ----------------------------------------
-
-
-def fundamental_class(space: Space, law: FGL) -> HomClass:
-    """[X](z^e) = prod_t g_(n_t - e_t); equals the transfer of the point
-    class along the projection to the point (V11 compares the two).
-    Memoised on the law."""
-    return law.derived("fundamental_class", space, lambda: _fundamental_class(space, law))
-
-
-def _fundamental_class(space: Space, law: FGL) -> HomClass:
-    values = {}
-    for e in basis(space):
-        v = law.ring.one()
-        for n, x in zip(space.factors, e):
-            v = v * law.pn_class(n - x)
-            if not v:
-                break
-        if v:
-            values[e] = v
-    return HomClass(space, law.ring, values)
+# -- duality ----------------------------------------------------------------
 
 
 def duality_to_hom(alpha: CohClass, law: FGL) -> HomClass:

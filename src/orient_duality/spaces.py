@@ -7,11 +7,12 @@ point.  Its cohomology over a coefficient ring R is
 
 with every z_t in degree 1 (the single collapsed grading).
 
-``SparseClass`` is the one sparse core of cohomology classes, the homology
-classes of ``homodual`` and the scratch polynomials of ``fgl``: a map from
-exponent tuples to nonzero ring elements with checks, equality, sums,
-scaling, the product of two classes of one kind, the graded term order,
-JSON literals and the external product.  Each subclass constructor keeps
+``SparseClass`` is the one sparse core of cohomology classes
+(``CohClass``), homology classes (``HomClass``) and the scratch
+polynomials of ``fgl``: a map from exponent tuples to nonzero ring
+elements with checks, equality, sums, scaling, the product of two classes
+of one kind, the graded term order, JSON literals and the external
+product.  Each subclass constructor keeps
 its own range rule; ``CohClass`` drops out-of-bound exponents (the quotient
 relations), so equal classes always have equal term maps.
 
@@ -436,6 +437,48 @@ class CohClass(SparseClass):
         return "CohClass(%s; %s)" % (self.space.render(), self.render())
 
 
+class HomClass(SparseClass):
+    """A homology class: values on the monomial basis, sparsely stored."""
+
+    __slots__ = ()
+    _JSON_KEY = "values"
+    _LITERAL = "homology"
+    _NOUN = "basis tuple"
+
+    def __init__(self, space: Space, ring: CoeffRing, values: dict):
+        inside, outside = self._split_box(space, values)
+        if outside:
+            raise SpaceMismatchError("basis tuple %r does not fit %s" % (outside[0], space))
+        super().__init__(space, ring, inside)
+
+    @property
+    def values(self) -> dict:
+        """The values on the basis: a read-only alias of ``terms``."""
+        return self.terms
+
+    @classmethod
+    def delta(cls, space: Space, ring: CoeffRing, expo: tuple[int, ...], coeff=None) -> "HomClass":
+        """The functional dual to one basis monomial."""
+        return cls.monomial(space, ring, expo, coeff)
+
+    @staticmethod
+    def point_class(ring: CoeffRing) -> "HomClass":
+        return HomClass.delta(Space.point(), ring, ())
+
+    value = SparseClass.coeff
+
+    def render(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for e, c in self._sorted_terms():
+            parts.append("z^(%s): %s" % (",".join(str(x) for x in e), c.render()))
+        return "; ".join(parts)
+
+    def __repr__(self) -> str:
+        return "HomClass(%s; %s)" % (self.space.render(), self.render())
+
+
 # -- morphisms ------------------------------------------------------------
 
 
@@ -495,6 +538,11 @@ class Projection(Morphism):
     @property
     def dropped(self) -> tuple[int, ...]:
         return tuple(t for t in range(self.source.nfactors) if t not in self.keep)
+
+    @property
+    def fibre(self) -> Space:
+        """The product of the dropped factors."""
+        return Space(tuple(self.source.factors[t] for t in self.dropped))
 
     def pullback(self, alpha: CohClass) -> CohClass:
         return self._placed(alpha, self.keep)

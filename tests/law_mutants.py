@@ -16,7 +16,9 @@ def with_flipped_coefficient(F: FGL, i: int, j: int, *, keep_log: bool = True, k
     reaches the original.  The formal inverse, the m-series, the log
     identity and the axiom witness derive from the table, so they are
     never kept.  Fundamental classes are kept with the logarithm (they are
-    products of point classes), diagonal classes with the kernels they are
+    cross products of the classes [P^n], which read the point classes);
+    so are the fibre classes [Y] that projections read, being fundamental
+    classes too.  Diagonal classes are kept with the kernels they are
     built from.
 
     A consistent recomputation of a flipped *symmetric pair* can produce an

@@ -10,7 +10,7 @@ from orient_duality.cli import MAX_UNIVERSAL_TRUNCATION, _parse_class_json, main
 from orient_duality.errors import ParseError
 from orient_duality.fgl import FGL, Series
 from orient_duality.homodual import HomClass
-from orient_duality.spaces import CohClass, Space
+from orient_duality.spaces import CohClass, Projection, Space
 
 KERNEL_P2_ADDITIVE = {
     "space": "P2xP2",
@@ -147,6 +147,36 @@ def test_pushforward_composite_chain(capsys):
     )
     assert code == 0
     assert out.strip() == "beta*z1"
+
+
+ONE_P1xP1 = '{"terms": [{"zeta": [0, 0], "coeff": "1"}]}'
+TOP_P1xP1 = '{"values": [{"zeta": [1, 1], "coeff": "1"}]}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("euler", "--theory", "multiplicative", "--space", "P1xP1", "--degrees", "1,1"),
+        ("pushforward", "--theory", "universal", "--space", "P1xP1", "--morphism", "diag(0);proj(1)",
+         "--class", ONE_P1xP1),
+        ("kernel", "--theory", "universal", "--space", "P1xP1"),
+        ("fundamental", "--theory", "multiplicative", "--space", "P1xP1"),
+        ("dualize", "--theory", "multiplicative", "--space", "P1xP1", "--direction", "to-hom",
+         "--class", ONE_P1xP1),
+        ("dualize", "--theory", "multiplicative", "--space", "P1xP1", "--direction", "to-coh",
+         "--class", TOP_P1xP1),
+    ],
+    ids=["euler", "pushforward", "kernel", "fundamental", "to-hom", "to-coh"],
+)
+def test_json_query_builds_no_text_form(capsys, monkeypatch, argv):
+    def refuse(self):
+        raise AssertionError("text form built for a JSON query")
+
+    monkeypatch.setattr(CohClass, "render", refuse)
+    monkeypatch.setattr(HomClass, "render", refuse)
+    code, out, _ = _run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["space"]
 
 
 def test_out_writes_file(tmp_path, capsys):
@@ -288,7 +318,9 @@ FUZZ_RINGS = tuple(CoeffRing.for_kind(kind, 4) for kind in RingKind)
 # calls or token soup, so that well-formed chains and malformed ones mix.
 _CALL = st.tuples(
     st.sampled_from(["proj", "embed", "diag", "perm"]),
-    st.lists(st.one_of(st.integers(0, 2), st.integers(-1, 4)).map(str), max_size=3).map(",".join),
+    st.lists(
+        st.one_of(st.integers(0, 2).map(str), st.integers(-1, 4).map(str), st.just("")), max_size=3
+    ).map(",".join),
 ).map(lambda t: "%s(%s)" % t)
 _SOUP = st.lists(
     st.sampled_from(list("(),;- 0123456789") + ["proj", "embed", "diag", "perm"]), max_size=8
@@ -303,6 +335,9 @@ def test_parse_morphism_fuzz_rejects_or_roundtrips(space, text):
         f = parse_morphism(text, space)
     except ParseError:
         return
+    for chunk in text.split(";"):  # every chunk parsed, so each has "(...)"
+        args = chunk[chunk.index("(") + 1 : chunk.rindex(")")]
+        assert not args.strip() or all(a.strip() for a in args.split(",")), chunk
     assert f.source == space
     assert parse_morphism(f.render(), space) == f
 
@@ -371,6 +406,30 @@ def test_exit_2_on_bad_morphism(capsys):
     )
     assert code == 2
     assert "smash" in err
+
+
+@pytest.mark.parametrize(
+    "space, morphism",
+    [
+        ("P1xP1xP1", "proj(0,,1)"),
+        ("P1xP1", "perm(1,0,)"),
+        ("P1xP1", "embed(0,,3)"),
+        ("P1xP1", "diag(0,)"),
+        ("P1xP1", "proj(,)"),
+    ],
+)
+def test_exit_2_on_empty_morphism_argument(capsys, space, morphism):
+    code, out, err = _run(
+        capsys, "pushforward", "--theory", "additive", "--space", space,
+        "--morphism", morphism, "--class", '{"terms":[]}',
+    )
+    assert code == 2 and not out
+    assert "empty argument in %r" % morphism in err
+
+
+def test_empty_projection_maps_to_the_point():
+    for text in ("proj()", "proj( )"):
+        assert parse_morphism(text, Space((1, 2))) == Projection(Space((1, 2)), ())
 
 
 def test_exit_2_on_bad_class_json(capsys):

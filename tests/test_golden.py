@@ -39,6 +39,9 @@ MIXED_COH_P2xP1 = (
     '{"zeta": [2, 1], "coeff": "2"}, {"zeta": [1, 1], "coeff": "beta^2"}]}'
 )
 
+# pushed along proj(1), which drops two factors: the fibre is P2xP2
+MIXED_COH_P2xP1xP2 = '{"terms":[{"zeta":[2,1,0],"coeff":"b1"},{"zeta":[0,0,2],"coeff":"3"}]}'
+
 GOLDEN = [
     (
         ["verify", "--format", "json"],
@@ -78,6 +81,10 @@ GOLDEN = [
         "328748114e6bc4fb51d10911cd57bb62640605312cd5753d7698676338270d01",
     ),
     (
+        ["fundamental", "--theory", "universal", "--space", "P2xP3xP1", "--format", "json"],
+        "5fa0d3eb5303947af8f239b3ce07a566ccdc865429ef6e61e0626a06ccb15993",
+    ),
+    (
         [
             "dualize", "--theory", "universal", "--space", "P2xP2", "--direction", "to-hom",
             "--format", "json", "--class", MIXED_COH_P2xP2,
@@ -100,6 +107,13 @@ GOLDEN = [
         "ec5534ce876d699b0a080c54478d03699f97eb28f1d72adc40e4327b9c14bfb7",
     ),
     (
+        [
+            "pushforward", "--theory", "universal", "--space", "P2xP1xP2",
+            "--morphism", "proj(1)", "--format", "json", "--class", MIXED_COH_P2xP1xP2,
+        ],
+        "1a3e35663d94f58551a39ff6155970e27d3c139d8ea7011f722c7cd41f32b2ac",
+    ),
+    (
         ["ring", "--theory", "universal", "--truncation", "9", "--parse", UNIVERSAL_ELEM],
         "1b5851c92fa856b1d42eba0c03bc4f5fc1a7a5d3353c959b2a6ef8691cf70118",
     ),
@@ -117,9 +131,11 @@ GOLDEN_IDS = [
     "kernel-universal-P2xP2",
     "kernel-universal-P8",
     "fundamental-universal-P2xP3",
+    "fundamental-universal-P2xP3xP1",
     "dualize-to-hom-universal-P2xP2",
     "dualize-to-coh-multiplicative-P2xP1",
     "pushforward-multiplicative-P2xP1",
+    "pushforward-universal-P2xP1xP2-proj1",
     "ring-parse-universal-9",
     "ring-parse-multiplicative-beta41",
 ]

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ import sympy
 
 from orient_duality.errors import RingMismatchError, SpaceMismatchError
 from orient_duality.fgl import (
+    FGL,
     additive_law,
     multiplicative_law,
     universal_law,
@@ -15,7 +18,7 @@ from orient_duality.gysin import (
     kernel,
     pushforward_coh,
 )
-from orient_duality.homodual import fundamental_class
+from orient_duality.homodual import fundamental_class, shriek_hom
 from orient_duality.spaces import (
     CohClass,
     Diagonal,
@@ -29,6 +32,7 @@ from orient_duality.spaces import (
     full_diagonal,
     transposition,
 )
+from orient_duality.verify import sample_class, sample_hom
 
 from law_mutants import with_flipped_coefficient
 
@@ -282,6 +286,25 @@ def test_pushforward_rejects_wrong_ring(laws):
 def test_kernel_rejects_bad_degree(laws):
     with pytest.raises(ValueError):
         kernel(laws["additive"], -1)
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative", "universal"])
+def test_projections_and_diagonals_read_no_point_class(laws, monkeypatch, kind):
+    # point classes enter only through [P^n] and K_n: once the fibre
+    # classes and kernels are built, no generator reads a point class
+    law, space = laws[kind], Space((2, 1, 2))
+    gens = [Projection(space, keep) for r in range(4) for keep in itertools.combinations(range(3), r)]
+    gens += [Diagonal(space, t) for t in range(3)]
+    rng = random.Random(7)
+    cases = [(f, sample_class(f.source, law.ring, rng), sample_hom(f.target, law.ring, rng)) for f in gens]
+    before = [(pushforward_coh(f, alpha, law), shriek_hom(f, a, law)) for f, alpha, a in cases]
+
+    def refuse(self, n):
+        raise AssertionError("point class g_%d read outside [P^n] and K_n" % n)
+
+    monkeypatch.setattr(FGL, "pn_class", refuse)
+    after = [(pushforward_coh(f, alpha, law), shriek_hom(f, a, law)) for f, alpha, a in cases]
+    assert after == before
 
 
 def test_kernel_cached(laws):
