@@ -363,7 +363,10 @@ class SparseClass:
             if not isinstance(item, dict) or "zeta" not in item or "coeff" not in item:
                 raise ParseError('each %s must be {"zeta": [...], "coeff": "..."}' % key[:-1])
             expo = parse_exponents(space, item["zeta"], cls._NOUN)
-            c = ring.parse(str(item["coeff"]))
+            coeff = item["coeff"]
+            if isinstance(coeff, bool) or not isinstance(coeff, (str, int)):
+                raise ParseError("coefficient %s is not a string or an integer" % json.dumps(coeff))
+            c = ring.parse(str(coeff))
             prev = terms.get(expo)
             terms[expo] = c if prev is None else prev + c
         return cls(space, ring, terms)

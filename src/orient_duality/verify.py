@@ -31,8 +31,9 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .algebra import CoeffRing, RingElem, RingKind
+from .algebra import CoeffRing, RingKind, wrap_sums
 from .errors import CalculatorError, TruncationUnsoundError
 from .fgl import FGL, apply_law, check_axioms, law_for
 from .gysin import (
@@ -124,25 +125,29 @@ def _derive_rng(seed: int, *labels: str) -> random.Random:
 # -- deterministic sampling -------------------------------------------------
 
 
-def _sample_coeff(ring: CoeffRing, rng: random.Random):
-    c = ring.from_coeff(rng.randint(-3, 3))
-    if ring.nsymbols and rng.random() < 0.5:
-        idx = rng.randrange(ring.nsymbols)
-        power = rng.randint(1, 2)
-        scale = rng.randint(-2, 2)
-        expo = tuple(power if i == idx else 0 for i in range(ring.nsymbols))
-        c = c + RingElem(ring, {expo: scale})
-    if ring.allows_fractions and rng.random() < 0.25:
-        c = c + ring.from_coeff(Fraction(rng.randint(-2, 2), rng.randint(2, 3)))
-    return c
+@lru_cache(maxsize=16)
+def _symbol_keys(ring: CoeffRing) -> tuple:
+    """keys[idx][power - 1] is the key of b_idx^power, None where truncation drops it."""
+    gens = [tuple(int(i == idx) for i in range(ring.nsymbols)) for idx in range(ring.nsymbols)]
+    return tuple((ring._pack(g), ring._pack(tuple(2 * e for e in g))) for g in gens)
 
 
 def _sample(cls, space: Space, ring: CoeffRing, rng: random.Random):
-    terms = {}
+    """Coefficients a + s*b_idx^power + p/q, drawn as the same stream that
+    ring arithmetic on those terms would draw, each key map canonicalised once."""
+    keys = _symbol_keys(ring)
+    accs = {}
     for e in basis(space):
         if rng.random() < 0.75:
-            terms[e] = _sample_coeff(ring, rng)
-    return cls(space, ring, terms)
+            raw = accs[e] = {0: rng.randint(-3, 3)}
+            if keys and rng.random() < 0.5:
+                key = keys[rng.randrange(len(keys))][rng.randint(1, 2) - 1]
+                scale = rng.randint(-2, 2)  # drawn even where the key is dropped
+                if key is not None:
+                    raw[key] = scale
+            if ring.allows_fractions and rng.random() < 0.25:
+                raw[0] += Fraction(rng.randint(-2, 2), rng.randint(2, 3))
+    return cls(space, ring, wrap_sums(ring, accs))
 
 
 def sample_class(space: Space, ring: CoeffRing, rng: random.Random) -> CohClass:
@@ -208,7 +213,11 @@ def _generators(space: Space) -> list[Morphism]:
 
 
 def _check_fgl_axioms(ctx: _Ctx):
-    law = ctx.law
+    # V1 reads neither the space nor the rng: one verdict per law
+    return ctx.law.derived("v1", None, lambda: _law_witness(ctx.law))
+
+
+def _law_witness(law: FGL):
     bad = check_axioms(law)
     if bad is not None:
         return {"identity": "group-law axioms", "detail": bad}

@@ -14,12 +14,12 @@ def with_flipped_coefficient(F: FGL, i: int, j: int, *, keep_log: bool = True, k
     derived data from the original by kind.  The kept entries are copied
     into a memo of the copy's own, so nothing the copy computes later
     reaches the original.  The formal inverse, the m-series, the log
-    identity and the axiom witness derive from the table, so they are
-    never kept.  Fundamental classes are kept with the logarithm (they are
-    cross products of the classes [P^n], which read the point classes);
-    so are the fibre classes [Y] that projections read, being fundamental
-    classes too.  Diagonal classes are kept with the kernels they are
-    built from.
+    identity, the axiom witness and the V1 verdict (``"v1"``) derive from
+    the table, so they are never kept.  Fundamental classes are kept with
+    the logarithm (they are cross products of the classes [P^n], which
+    read the point classes); so are the fibre classes [Y] that projections
+    read, being fundamental classes too.  Diagonal classes are kept with
+    the kernels they are built from.
 
     A consistent recomputation of a flipped *symmetric pair* can produce an
     isomorphic theory, so the interesting failures come from stale caches

@@ -248,6 +248,33 @@ def test_exit_2_on_bad_class_exponent(capsys, zeta, direction, key):
     assert err == "error: %s %s does not fit P2\n" % (noun, json.dumps(json.loads(zeta)))
 
 
+@pytest.mark.parametrize("coeff,quoted", [("true", "true"), ("null", "null"), ("1e400", "Infinity"), ("2.0", "2.0")])
+@pytest.mark.parametrize("direction,key", [("to-hom", "terms"), ("to-coh", "values")])
+def test_exit_2_on_coefficient_neither_string_nor_int(capsys, coeff, quoted, direction, key):
+    # str() of these would hand the ring parser tokens no one wrote
+    literal = '{"%s": [{"zeta": [1], "coeff": %s}]}' % (key, coeff)
+    code, out, err = _run(
+        capsys, "dualize", "--theory", "universal", "--space", "P2",
+        "--direction", direction, "--class", literal,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: coefficient %s is not a string or an integer\n" % quoted
+
+
+def test_json_integer_coefficient_reads_as_its_string(capsys):
+    outs = []
+    for coeff in ("-3", '"-3"'):
+        literal = '{"terms": [{"zeta": [1], "coeff": %s}]}' % coeff
+        code, out, _ = _run(
+            capsys, "dualize", "--theory", "additive", "--space", "P2",
+            "--direction", "to-hom", "--class", literal,
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize(
     "theory,literal,token,pos",
     [

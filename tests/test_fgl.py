@@ -593,23 +593,51 @@ def test_series_reversion_with_unit_minus_one():
 
 
 def test_degree_solver_reports_a_defect_it_cannot_cancel(monkeypatch):
-    """Reversion and the formal inverse share one solver: a defect in
-    degree 1, which no correction of degree >= 2 reaches, or one that
-    ignores the corrections, ends in each caller's own failure text."""
+    """Reversion and the formal inverse share one solver, whose defect
+    takes the precision it evaluates at: a defect in degree 1, which no
+    correction of degree >= 2 reaches, or one that ignores the corrections,
+    ends in each caller's own failure text."""
     import orient_duality.fgl as fgl_mod
 
     ring = CoeffRing.multiplicative(5)
-    x = Series.identity(ring, 5)
     s = Series.make(ring, 5, [0, 1, 1])
     real_compose, real_apply = Series.compose, fgl_mod.apply_law
     for broken in (
-        lambda self, inner: real_compose(self, inner) + x,
-        lambda self, inner: x + Series.make(ring, 5, [0, 0, 0, 1]),
+        lambda self, inner: real_compose(self, inner) + Series.identity(ring, self.trunc),
+        lambda self, inner: Series.make(ring, self.trunc, [0, 1, 0, 1]),
     ):
         monkeypatch.setattr(Series, "compose", broken)
         with pytest.raises(InternalConsistencyError, match="^series reversion failed to verify$"):
             s.reversion()
     monkeypatch.setattr(Series, "compose", real_compose)
-    monkeypatch.setattr(fgl_mod, "apply_law", lambda F, p, q: real_apply(F, p, q) + x * 2)
+    # p is the identity cut to the round's precision
+    monkeypatch.setattr(fgl_mod, "apply_law", lambda F, p, q: real_apply(F, p, q) + p * 2)
     with pytest.raises(InternalConsistencyError, match="^formal inverse failed to verify$"):
         multiplicative_law(5).inverse()
+
+
+def test_degree_solver_checks_at_full_precision():
+    """Round d evaluates on operands cut to P^d; the last evaluation runs at
+    full precision and is the check: a defect that is right at every cut
+    precision and wrong only at full precision must raise."""
+    from orient_duality.fgl import _solve_by_degree
+
+    ring = CoeffRing.multiplicative(5)
+    beta = ring.gen(0)
+    s = Series.make(ring, 5, [0, 1, beta, 0, 3])
+    calls = []
+
+    def defect(rev, p):
+        calls.append((p, rev.trunc))
+        return s.cut(p).compose(rev) - Series.identity(ring, p)
+
+    rev = _solve_by_degree(Series.identity(ring, 5), defect, 1, "no reversion")
+    assert rev == s.reversion() and s.compose(rev) == Series.identity(ring, 5)
+    assert calls == [(2, 2), (3, 3), (4, 4), (5, 5), (5, 5)]
+
+    def wrong_at_full(rev, p):
+        err = defect(rev, p)
+        return err + Series.make(ring, p, [0, 0, beta]) if p == s.trunc else err
+
+    with pytest.raises(InternalConsistencyError, match="^no reversion$"):
+        _solve_by_degree(Series.identity(ring, 5), wrong_at_full, 1, "no reversion")

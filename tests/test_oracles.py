@@ -25,7 +25,10 @@ definitions, evaluated the slow way:
   against the closed forms of the additive and multiplicative laws;
 * the diagonal kernel's C, read off one reciprocal series, against the
   column-by-column back substitution of M C = I that once computed it
-  (``naive_kernel_matrix``).
+  (``naive_kernel_matrix``);
+* ``sample_class`` and ``sample_hom``, which build key maps, against the
+  sampler as ring arithmetic (``ring_arithmetic_coeff``), coefficient
+  types included, leaving the generator in the same state.
 
 Each routine must agree with its oracle exactly, for every generator
 shape and for composites of two and three parts, in all three theories,
@@ -65,7 +68,7 @@ from orient_duality.spaces import (
     compose,
     packed_keys,
 )
-from orient_duality.verify import sample_class, sample_hom
+from orient_duality.verify import _derive_rng, sample_class, sample_hom
 
 TRUNC = 6
 KINDS = (RingKind.ADDITIVE, RingKind.MULTIPLICATIVE, RingKind.UNIVERSAL)
@@ -760,3 +763,40 @@ def test_kernel_matches_back_substitution(kind):
         ]
     if kind is RingKind.UNIVERSAL:
         assert ("table", None) not in law._memo
+
+
+def ring_arithmetic_coeff(ring: CoeffRing, rng: random.Random) -> RingElem:
+    """A sampled coefficient a + s*b_idx^power + p/q, built by ring sums."""
+    c = ring.from_coeff(rng.randint(-3, 3))
+    if ring.nsymbols and rng.random() < 0.5:
+        idx = rng.randrange(ring.nsymbols)
+        power = rng.randint(1, 2)
+        scale = rng.randint(-2, 2)
+        expo = tuple(power if i == idx else 0 for i in range(ring.nsymbols))
+        c = c + RingElem(ring, {expo: scale})
+    if ring.allows_fractions and rng.random() < 0.25:
+        c = c + ring.from_coeff(Fraction(rng.randint(-2, 2), rng.randint(2, 3)))
+    return c
+
+
+def ring_arithmetic_sample(cls, space: Space, ring: CoeffRing, rng: random.Random):
+    terms = {}
+    for e in basis(space):
+        if rng.random() < 0.75:
+            terms[e] = ring_arithmetic_coeff(ring, rng)
+    return cls(space, ring, terms)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("N", (3, 7, 10, 12))  # at N = 3, b2^2 is dropped
+def test_sampler_matches_ring_arithmetic(kind, N):
+    ring = CoeffRing.for_kind(kind, N)
+    for space in map(Space.parse, ("pt", "P0", "P2", "P2xP0xP1", "P0xP3", "P1xP1xP1")):
+        for sample, cls in ((sample_class, CohClass), (sample_hom, HomClass)):
+            for seed in range(3):
+                rng, ref_rng = _derive_rng(seed, str(space)), _derive_rng(seed, str(space))
+                for _ in range(3):
+                    got = sample(space, ring, rng)
+                    want = ring_arithmetic_sample(cls, space, ring, ref_rng)
+                    assert type(got) is cls and typed_class(got) == typed_class(want)
+                assert rng.getstate() == ref_rng.getstate()

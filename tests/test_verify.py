@@ -141,6 +141,26 @@ def test_full_recompute_flip_is_conjugate_theory():
     assert failed == set()
 
 
+def test_v1_verdict_is_memoised_per_law_and_reported_per_cell(monkeypatch):
+    # V1 reads only the law: its witness is built once and every cell of a
+    # failing law reports it; the mutant copies no verdict from the original
+    import orient_duality.verify as verify_mod
+
+    law = multiplicative_law(MUT_TRUNC)
+    spaces = (Space((1,)), Space((2,)), Space((1, 1)))
+    cfg = CheckConfig(theories=(RingKind.MULTIPLICATIVE,), spaces=spaces, truncation=MUT_TRUNC)
+    good = run_suite(cfg, laws={RingKind.MULTIPLICATIVE: law}, checks=("V1-fgl-axioms",))
+    assert [r.status for r in good] == ["pass"] * 3 and ("v1", None) in law._memo
+    bad = with_flipped_coefficient(law, 1, 1)
+    real, built = verify_mod._law_witness, []
+    monkeypatch.setattr(verify_mod, "_law_witness", lambda F: built.append(F) or real(F))
+    reports = run_suite(cfg, laws={RingKind.MULTIPLICATIVE: bad}, checks=("V1-fgl-axioms",))
+    assert [r.space for r in reports] == ["P1", "P2", "P1xP1"]
+    assert [r.status for r in reports] == ["fail"] * 3
+    assert reports[0].witness and all(r.witness == reports[0].witness for r in reports)
+    assert built == [bad]
+
+
 # -- sampling -----------------------------------------------------------------
 
 
