@@ -41,6 +41,11 @@ constructor ``RingElem(ring, {exponent tuple: coefficient})`` packs
 tuples; it is the cold path used by parsing and a few samplers.  Two
 elements are equal iff their descriptors and key maps are equal, so
 ``==`` is exact mathematical equality.
+
+Rendering reads each monomial key through the ring instance's memo of
+(sort key, factor text), ``CoeffRing._render_memo``, which lives as long
+as that instance: equal rings built apart keep separate memos, and each
+CLI call, which builds its own ring, renders cold.
 """
 
 import re
@@ -80,7 +85,8 @@ class CoeffRing:
     * ``_top``: the place value of the weight digit (R^n; 1 elsewhere, where
       the key is its own weight), so a key's degree is ``-(key // _top)``;
     * ``_limit``: (N + 1)*R^n, the smallest key dropped by truncation, or
-      None where nothing is truncated.
+      None where nothing is truncated;
+    * ``_render_memo``: this instance's own render memo, outside ``==`` and ``hash``.
     """
 
     kind: RingKind
@@ -90,6 +96,7 @@ class CoeffRing:
     _radix: int | None = field(init=False, repr=False, compare=False)
     _top: int = field(init=False, repr=False, compare=False)
     _limit: int | None = field(init=False, repr=False, compare=False)
+    _render_memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.truncation < 1:
@@ -110,6 +117,7 @@ class CoeffRing:
         object.__setattr__(self, "_radix", radix)
         object.__setattr__(self, "_top", top)
         object.__setattr__(self, "_limit", limit)
+        object.__setattr__(self, "_render_memo", {})
 
     @staticmethod
     def additive(truncation: int) -> "CoeffRing":
@@ -362,34 +370,26 @@ class RingElem:
 
     # -- rendering -----------------------------------------------------
 
-    def _sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))
-
     def render(self) -> str:
         """Deterministic text form; ``CoeffRing.parse`` round-trips it."""
         if not self._t:
             return "0"
-        parts = []
-        for expo, c in self._sorted_terms():
-            factors = []
-            for name, e in zip(self.ring.symbols, expo):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append("%s^%d" % (name, e))
+        memo, parts = self.ring._render_memo, []
+        for k, c in self._t.items():
+            if k not in memo:
+                expo = self.ring._unpack(k)
+                text = "*".join(s if e == 1 else "%s^%d" % (s, e) for s, e in zip(self.ring.symbols, expo) if e)
+                memo[k] = ((sum(expo), tuple(-e for e in expo)), text)
+            order, factors = memo[k]
             if not factors:
-                body = str(abs(c) if isinstance(c, int) else abs(c))
+                body = str(abs(c))
             elif abs(c) == 1:
-                body = "*".join(factors)
+                body = factors
             else:
-                body = "*".join([str(abs(c))] + factors)
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = first_body if first_sign == "+" else "-" + first_body
-        for sign, body in parts[1:]:
-            out += " %s %s" % (sign, body)
-        return out
+                body = "%s*%s" % (abs(c), factors)
+            parts.append((order, "-" if c < 0 else "+", body))
+        out = " ".join("%s %s" % (sign, body) for _, sign, body in sorted(parts))
+        return out[2:] if out[0] == "+" else "-" + out[2:]
 
     def __str__(self) -> str:
         return self.render()

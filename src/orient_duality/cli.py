@@ -146,11 +146,19 @@ def _write(args, payload: str) -> None:
 
 
 def _emit(args, result) -> None:
-    """Write a class in the requested format; only that form is built."""
+    """Write a class in the requested format; only that form is built.
+
+    The JSON form is written term by term, one ``json.dumps`` per string,
+    and equals ``json.dumps({"space": ..., **result.to_json_obj()},
+    indent=2)`` byte for byte."""
     if args.format == "json":
-        obj = {"space": result.space.render()}
-        obj.update(result.to_json_obj())
-        payload = json.dumps(obj, indent=2)
+        items, texts = [], {}  # by id: the terms of a diagonal class share elements
+        for e, c in result._sorted_terms():
+            zeta = "[\n%s\n      ]" % ",\n".join("        %d" % x for x in e) if e else "[]"
+            coeff = texts.get(id(c)) or texts.setdefault(id(c), json.dumps(c.render()))
+            items.append('    {\n      "zeta": %s,\n      "coeff": %s\n    }' % (zeta, coeff))
+        body = "[\n%s\n  ]" % ",\n".join(items) if items else "[]"
+        payload = '{\n  "space": %s,\n  "%s": %s\n}' % (json.dumps(result.space.render()), result._JSON_KEY, body)
     else:
         payload = result.render()
     _write(args, payload + "\n")

@@ -50,7 +50,6 @@ from .spaces import (
     Permutation,
     Projection,
     Space,
-    cross_coh,
 )
 
 
@@ -61,12 +60,15 @@ class GysinKernel:
     ``M[k][l] = g_(n-k-l)`` is the pairing matrix, ``C`` its two-sided
     inverse, ``C[i][j] = [x^(i+j-n)] 1/(g_0 + ... + g_n x^n)``, and
     ``K = sum C[i][j] z1^i z2^j`` the diagonal class on P^n x P^n.
+    ``cols[j]`` holds the items ``(i, sorted(C[i][j]._t.items()))`` of column
+    j's nonzero entries, in the key order ``algebra.fused_mul`` reads.
     """
 
     n: int
     M: tuple
     C: tuple
     K: CohClass
+    cols: tuple
 
 
 def kernel(law: FGL, n: int) -> GysinKernel:
@@ -85,7 +87,8 @@ def _solve_kernel(law: FGL, n: int) -> GysinKernel:
     C = tuple(tuple(h[i + j] for j in range(n + 1)) for i in range(n + 1))  # h_(i+j-n)
     square = Space((n, n))
     K = CohClass(square, ring, {(i, j): C[i][j] for i in range(n + 1) for j in range(n + 1)})
-    return GysinKernel(n, M, C, K)
+    cols = tuple(tuple((i, sorted(C[i][j]._t.items())) for i in range(n + 1) if C[i][j]) for j in range(n + 1))
+    return GysinKernel(n, M, C, K, cols)
 
 
 def _check_pushforward_args(f: Morphism, alpha: CohClass, law: FGL):
@@ -154,23 +157,27 @@ def diamond_coh(f: Morphism, law: FGL):
 
 
 def diagonal_kernel_class(space: Space, law: FGL) -> CohClass:
-    """The diagonal class of a product space on space x space.
-
-    Built as the external product of the per-factor kernels pulled back
-    along the factor shuffle; agrees with pushing 1 along
-    ``spaces.full_diagonal`` (the verification suite checks both).
-    Memoised on the law."""
+    """The diagonal class of a product space on space x space: the external
+    product of the per-factor kernels, placed on X x X.  It agrees with
+    pushing 1 along ``spaces.full_diagonal`` (the verification suite checks
+    both).  Memoised on the law."""
     return law.derived("diagonal_class", space, lambda: _diagonal_class(space, law))
 
 
 def _diagonal_class(space: Space, law: FGL) -> CohClass:
-    blocks = CohClass.one(Space.point(), law.ring)
+    # K_X(u, v) = prod_t h_t(u_t + v_t - n_t), h_t the last row of C_(n_t): one
+    # product per tuple of sums, shared by every term (u, v) with that sum
+    prods = {(): law.ring.one()}
     for n in space.factors:
-        blocks = cross_coh(blocks, kernel(law, n).K)
-    # blocks lives on (n1, n1, n2, n2, ...); the shuffle sends X x X there.
-    k = space.nfactors
-    sigma = tuple(s for t in range(k) for s in (t, k + t))
-    return Permutation(space.times(space), sigma).pullback(blocks)
+        h = kernel(law, n).C[n]
+        prods = {s + (m,): p * h[m] for s, p in prods.items() for m in range(n + 1) if h[m]}
+    terms = {}
+    for s, p in prods.items():
+        uvs = [((), ())]
+        for n, m in zip(space.factors, s):
+            uvs = [(u + (i,), v + (n + m - i,)) for u, v in uvs for i in range(m, n + 1)]
+        terms.update(dict.fromkeys([u + v for u, v in uvs], p))
+    return CohClass(space.times(space), law.ring, terms)
 
 
 def fundamental_class(space: Space, law: FGL) -> HomClass:

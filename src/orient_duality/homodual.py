@@ -19,6 +19,11 @@ Gysin structure:
 * ``duality_to_hom``            alpha -> alpha cap [X]
 * ``duality_to_coh``            a -> K_X / a  (diagonal class slant a)
 
+D_hom = cap with [X]; D_coh = ⊗ C_n, one factor at a time: K_X is the
+Kronecker product of the kernel matrices C_n, so K_X / a is computed
+without K_X and its up to B^2 terms.  K_X (``gysin.diagonal_kernel_class``)
+serves only the ``kernel`` subcommand, V8 and V9.
+
 The two transposes are not evaluated one basis monomial at a time; each
 generator shape has a direct formula (composites apply their parts in
 turn), which follows from the shape's pullback and Gysin map:
@@ -54,7 +59,7 @@ from collections import defaultdict
 from .algebra import RingElem, fused_mul, wrap_sums
 from .errors import RingMismatchError, SpaceMismatchError
 from .fgl import FGL
-from .gysin import diagonal_kernel_class, diagonal_section, fundamental_class, placed_kernel
+from .gysin import diagonal_section, fundamental_class, kernel, placed_kernel
 from .spaces import (
     CohClass,
     Composite,
@@ -252,8 +257,20 @@ def duality_to_hom(alpha: CohClass, law: FGL) -> HomClass:
 
 
 def duality_to_coh(a: HomClass, law: FGL) -> CohClass:
-    """K_X / a, the inverse direction of Poincare duality."""
-    return slant_l(diagonal_kernel_class(a.space, law), a)
+    """K_X / a, the inverse direction of Poincare duality, as the sweep
+    D_coh(a)(u) = sum_v a(v) prod_t C_(n_t)[u_t][v_t]: each factor t in
+    turn moves every value from slot v_t to the slots u_t of its column."""
+    if a.ring != law.ring:
+        raise RingMismatchError("class and law use different coefficient rings")
+    values = a.terms
+    for t, n in enumerate(a.space.factors):
+        cols = kernel(law, n).cols
+        sums = defaultdict(dict)
+        for v, c in values.items():
+            for i, d in cols[v[t]]:
+                fused_mul(sums[v[:t] + (i,) + v[t + 1 :]], c, d)
+        values = wrap_sums(a.ring, sums)
+    return CohClass(a.space, a.ring, values)
 
 
 # -- projective bundle decomposition ----------------------------------------

@@ -358,10 +358,17 @@ class SparseClass:
         key = cls._JSON_KEY
         if not isinstance(obj, dict) or key not in obj or not isinstance(obj[key], list):
             raise ParseError('%s literal must be an object {"%s": [...]}' % (cls._LITERAL, key))
+        # the emitted form {"space": .., key: [..]} reads back, on its own space only
+        for extra in [k for k in obj if k not in (key, "space")][:1]:
+            raise ParseError("unexpected key %s in a %s literal" % (json.dumps(extra), cls._LITERAL))
+        if obj.get("space", space.render()) != space.render():
+            raise ParseError("%s literal on %s given for %s" % (cls._LITERAL, json.dumps(obj["space"]), space))
         terms: dict = {}
         for item in obj[key]:
             if not isinstance(item, dict) or "zeta" not in item or "coeff" not in item:
                 raise ParseError('each %s must be {"zeta": [...], "coeff": "..."}' % key[:-1])
+            for extra in [k for k in item if k not in ("zeta", "coeff")][:1]:
+                raise ParseError("unexpected key %s in a %s" % (json.dumps(extra), key[:-1]))
             expo = parse_exponents(space, item["zeta"], cls._NOUN)
             coeff = item["coeff"]
             if isinstance(coeff, bool) or not isinstance(coeff, (str, int)):
@@ -427,7 +434,7 @@ class CohClass(SparseClass):
                 parts.append("*".join(zetas))
             elif coeff == "-1":
                 parts.append("-" + "*".join(zetas))
-            elif len(c.terms) == 1:
+            elif len(c._t) == 1:
                 parts.append("*".join([coeff] + zetas))
             else:
                 parts.append("*".join(["(%s)" % coeff] + zetas))

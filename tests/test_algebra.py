@@ -115,6 +115,16 @@ def test_render_multiplicative(text, expected):
     assert ring.parse(text).render() == expected
 
 
+def test_render_memo_is_per_ring_and_outside_equality():
+    r1, r2 = CoeffRing.universal(5), CoeffRing.universal(5)
+    text = r1.parse("b1^2 - 3/2*b2 + 4").render()
+    assert r1._render_memo and not r2._render_memo
+    assert r1 == r2 and hash(r1) == hash(r2)
+    assert r1._render_memo is not r2._render_memo
+    assert r2.parse("b1^2 - 3/2*b2 + 4").render() == text
+    assert r1._render_memo.keys() == r2._render_memo.keys()
+
+
 def test_render_universal_fractions():
     ring = CoeffRing.universal(6)
     assert ring.parse("1/2*b1 - b2").render() == "1/2*b1 - b2"

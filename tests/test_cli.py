@@ -1,16 +1,21 @@
+import argparse
 import functools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orient_duality.algebra import CoeffRing, RingKind
-from orient_duality.cli import MAX_UNIVERSAL_TRUNCATION, _parse_class_json, main, parse_morphism
+from orient_duality import cli
+from orient_duality.cli import MAX_UNIVERSAL_TRUNCATION, _emit, _parse_class_json, main, parse_morphism
 from orient_duality.errors import ParseError
-from orient_duality.fgl import FGL, Series
+from orient_duality.fgl import FGL, Series, law_for
+from orient_duality.gysin import diagonal_kernel_class
 from orient_duality.homodual import HomClass
 from orient_duality.spaces import CohClass, Projection, Space
+from orient_duality.verify import sample_class, sample_hom
 
 KERNEL_P2_ADDITIVE = {
     "space": "P2xP2",
@@ -301,6 +306,70 @@ def test_exit_2_on_zero_denominator_in_class(capsys, direction, key):
     assert code == 2
     assert out == ""
     assert err == "error: zero denominator in '1/0' (at position 5)\n"
+
+
+@pytest.mark.parametrize(
+    "literal,key",
+    [
+        ('{"terms": [{"zeta": [1], "coeff": "1", "extra": 2}]}', '"extra" in a term'),
+        ('{"terms": [], "values": [{"zeta": [1], "coeff": "1"}]}', '"values" in a class literal'),
+        ('{"space": "P2", "terms": [{"zeta": [1], "coeff": "1"}]}', 'class literal on "P2" given for P1'),
+    ],
+)
+def test_exit_2_on_unexpected_class_key(capsys, literal, key):
+    code, out, err = _run(
+        capsys, "dualize", "--theory", "additive", "--space", "P1",
+        "--direction", "to-hom", "--class", literal,
+    )
+    assert code == 2
+    assert out == ""
+    assert key in err
+
+
+def test_emitted_class_reads_back_as_a_literal(capsys):
+    code, out, _ = _run(capsys, "kernel", "--theory", "multiplicative", "--space", "P1", "--format", "json")
+    assert code == 0
+    code, back, _ = _run(
+        capsys, "dualize", "--theory", "multiplicative", "--space", "P1xP1",
+        "--direction", "to-hom", "--class", out,
+    )
+    assert code == 0 and back.startswith("z^(0,0): ")
+
+
+# -- the JSON emitter -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", RingKind, ids=lambda k: k.value)
+@pytest.mark.parametrize("space", ["pt", "P0", "P2xP0", "P1xP2", "P2xP1xP1"])
+def test_emitted_json_equals_json_dumps(capsys, kind, space):
+    space, law = Space.parse(space), law_for(kind, 6)
+    ring = law.ring
+    rng = random.Random("emit|%s|%s" % (kind.value, space))
+    classes = [sample(space, ring, rng) for sample in (sample_class, sample_hom) for _ in range(3)]
+    classes += [CohClass.zero(space, ring), HomClass.zero(space, ring), HomClass.point_class(ring)]
+    classes.append(diagonal_kernel_class(space, law))  # many terms share one element
+    for x in classes:
+        _emit(argparse.Namespace(format="json", out=None), x)
+        want = json.dumps({"space": x.space.render(), **x.to_json_obj()}, indent=2)
+        assert capsys.readouterr().out == want + "\n"
+
+
+def test_cli_calls_share_no_render_memo(monkeypatch, capsys):
+    built, real = [], cli.law_for
+
+    def recording_law_for(kind, truncation):
+        law = real(kind, truncation)
+        built.append((law.ring._render_memo, dict(law.ring._render_memo)))
+        return law
+
+    monkeypatch.setattr(cli, "law_for", recording_law_for)
+    for _ in range(2):
+        assert main(["kernel", "--theory", "universal", "--space", "P2xP1"]) == 0
+    (first, at_first), (second, at_second) = built
+    assert first is not second
+    assert at_first == at_second == {}
+    assert first and first == second  # the same entries, rendered twice
+    capsys.readouterr()
 
 
 # -- morphism grammar ---------------------------------------------------------

@@ -7,7 +7,9 @@ nine reciprocal coefficients); the four ``verify`` runs pin the report
 format and the witnesses' absence (the universal grid at truncation 10
 holds the deepest series work, P3xP3xP3 the largest products on X x X);
 the two ``ring --parse`` runs pin the term order of rendered ring
-elements.  A deliberate change of output must update the digest here and
+elements.  Two runs print classes as text (parenthesised coefficients
+among them), one prints the point class and one the zero class, and two
+dualize to cohomology on three factors.  A deliberate change of output must update the digest here and
 say why.
 """
 
@@ -41,6 +43,15 @@ MIXED_COH_P2xP1 = (
 
 # pushed along proj(1), which drops two factors: the fibre is P2xP2
 MIXED_COH_P2xP1xP2 = '{"terms":[{"zeta":[2,1,0],"coeff":"b1"},{"zeta":[0,0,2],"coeff":"3"}]}'
+
+# dualized to cohomology one factor at a time: three factors, and a P0 factor
+MIXED_HOM_P4xP4xP4 = (
+    '{"values": [{"zeta": [4, 4, 4], "coeff": "1"}, {"zeta": [1, 2, 3], "coeff": "1/2*b1"}, '
+    '{"zeta": [0, 0, 0], "coeff": "-3"}, {"zeta": [2, 0, 1], "coeff": "b2 + 5"}]}'
+)
+MIXED_HOM_P2xP0xP1 = (
+    '{"values": [{"zeta": [1, 0, 1], "coeff": "1/2*b1"}, {"zeta": [2, 0, 0], "coeff": "3"}]}'
+)
 
 GOLDEN = [
     (
@@ -121,6 +132,35 @@ GOLDEN = [
         ["ring", "--theory", "multiplicative", "--truncation", "4", "--parse", MULTIPLICATIVE_ELEM],
         "b2d10782ffa48bc381d9240dbda60106f2d73de569ed042a87795c8889cb2573",
     ),
+    (
+        [
+            "dualize", "--theory", "universal", "--space", "P4xP4xP4", "--direction", "to-coh",
+            "--format", "json", "--class", MIXED_HOM_P4xP4xP4,
+        ],
+        "fc58b8acaebfddb879a761463adf73e4b1953b0b23aa082af0954bcdc0b6727a",
+    ),
+    (
+        ["kernel", "--theory", "universal", "--space", "P2xP2xP2"],
+        "ffba6b817023e32f94af81f1d329f55482196b67cb9ae482b6b95c395a1c220b",
+    ),
+    (
+        ["fundamental", "--theory", "additive", "--space", "pt", "--format", "json"],
+        "bb1d6d84caedbe76fa48f52008f9b4415c49ee293fa715f87cf24389797fff0f",
+    ),
+    (
+        [
+            "dualize", "--theory", "universal", "--space", "P2xP0", "--direction", "to-coh",
+            "--format", "json", "--class", '{"values": []}',
+        ],
+        "39e3599202ad3cfb3c6556bc9d2bc2f09c86750a1c9e57be2fc907f875801e71",
+    ),
+    (
+        [
+            "dualize", "--theory", "universal", "--space", "P2xP0xP1", "--direction", "to-coh",
+            "--class", MIXED_HOM_P2xP0xP1,
+        ],
+        "d863024b9a218ee23a566a2edf816bc1747a69e6b9707ea34317b0965743fcaa",
+    ),
 ]
 
 GOLDEN_IDS = [
@@ -138,6 +178,11 @@ GOLDEN_IDS = [
     "pushforward-universal-P2xP1xP2-proj1",
     "ring-parse-universal-9",
     "ring-parse-multiplicative-beta41",
+    "dualize-to-coh-universal-P4xP4xP4",
+    "kernel-universal-P2xP2xP2-text",
+    "fundamental-additive-pt",
+    "dualize-to-coh-universal-P2xP0-zero",
+    "dualize-to-coh-universal-P2xP0xP1-text",
 ]
 
 

@@ -1,5 +1,9 @@
+import hashlib
+
 import pytest
 
+from orient_duality import gysin
+from orient_duality.cli import main
 from orient_duality.errors import (
     ParseError,
     RingMismatchError,
@@ -312,6 +316,32 @@ def test_duality_of_fundamental_is_unit(laws):
     for law in laws.values():
         sp = Space((1, 2))
         assert duality_to_coh(fundamental_class(sp, law), law) == CohClass.one(sp, law.ring)
+
+
+def test_cold_duality_to_coh_builds_no_diagonal_class(monkeypatch, capsys):
+    def refuse(space, law):
+        raise AssertionError("diagonal class of %s built" % space)
+
+    monkeypatch.setattr(gysin, "_diagonal_class", refuse)
+    literal = (
+        '{"values": [{"zeta": [4, 4, 4], "coeff": "1"}, {"zeta": [1, 2, 3], "coeff": "1/2*b1"}, '
+        '{"zeta": [0, 0, 0], "coeff": "-3"}, {"zeta": [2, 0, 1], "coeff": "b2 + 5"}]}'
+    )
+    argv = ["dualize", "--theory", "universal", "--space", "P4xP4xP4", "--direction", "to-coh"]
+    assert main(argv + ["--format", "json", "--class", literal]) == 0
+    out = capsys.readouterr().out
+    # the bytes of the golden dualize-to-coh-universal-P4xP4xP4
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fc58b8acaebfddb879a761463adf73e4b1953b0b23aa082af0954bcdc0b6727a"
+    )
+    with pytest.raises(AssertionError, match="diagonal class"):
+        main(["kernel", "--theory", "universal", "--space", "P1"])
+
+
+def test_duality_to_coh_checks_the_ring(laws):
+    a = HomClass.delta(Space((1,)), laws["additive"].ring, (0,))
+    with pytest.raises(RingMismatchError):
+        duality_to_coh(a, laws["universal"])
 
 
 @pytest.mark.parametrize("kind", ["additive", "multiplicative", "universal"])

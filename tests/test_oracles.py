@@ -26,6 +26,11 @@ definitions, evaluated the slow way:
 * the diagonal kernel's C, read off one reciprocal series, against the
   column-by-column back substitution of M C = I that once computed it
   (``naive_kernel_matrix``);
+* D_coh, which applies C_(n_t) one factor at a time, against the slant
+  of the diagonal class, slant_l(K_X, a), that once computed it, and
+  K_X, built once per tuple of exponent sums, against the cross product
+  of the kernels pulled back along the factor shuffle
+  (``naive_diagonal_class``);
 * ``sample_class`` and ``sample_hom``, which build key maps, against the
   sampler as ring arithmetic (``ring_arithmetic_coeff``), coefficient
   types included, leaving the generator in the same state.
@@ -54,8 +59,17 @@ from orient_duality.fgl import (
     multiplicative_law,
     universal_law,
 )
-from orient_duality.gysin import kernel, pushforward_coh
-from orient_duality.homodual import HomClass, cap, pair, pushforward_hom, shriek_hom, slant_l, slant_r
+from orient_duality.gysin import diagonal_kernel_class, kernel, pushforward_coh
+from orient_duality.homodual import (
+    HomClass,
+    cap,
+    duality_to_coh,
+    pair,
+    pushforward_hom,
+    shriek_hom,
+    slant_l,
+    slant_r,
+)
 from orient_duality import spaces
 from orient_duality.spaces import (
     CohClass,
@@ -763,6 +777,31 @@ def test_kernel_matches_back_substitution(kind):
         ]
     if kind is RingKind.UNIVERSAL:
         assert ("table", None) not in law._memo
+
+
+def naive_diagonal_class(space: Space, law) -> CohClass:
+    blocks = CohClass.one(Space.point(), law.ring)
+    for n in space.factors:
+        blocks = spaces.cross_coh(blocks, kernel(law, n).K)
+    k = space.nfactors  # blocks lives on (n1, n1, n2, n2, ...)
+    return Permutation(space.times(space), tuple(s for t in range(k) for s in (t, k + t))).pullback(blocks)
+
+
+# up to six factors, P0 factors among them
+DCOH_SPACES = SPACES + tuple(Space.parse(s) for s in ("P1xP0xP2", "P1xP1xP0xP1xP0xP1", "P2xP1xP0xP1xP1xP1"))
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("space", DCOH_SPACES, ids=str)
+def test_duality_to_coh_matches_diagonal_slant(laws, kind, space):
+    law = laws[kind]
+    K = diagonal_kernel_class(space, law)
+    rng = random.Random("dcoh|%s|%s" % (kind.value, space))
+    classes = [sample_hom(space, law.ring, rng) for _ in range(3)] + [HomClass.zero(space, law.ring)]
+    classes += [HomClass.delta(space, law.ring, e) for e in basis(space)]
+    assert K == naive_diagonal_class(space, law)
+    for a in classes:
+        assert duality_to_coh(a, law) == slant_l(K, a)
 
 
 def ring_arithmetic_coeff(ring: CoeffRing, rng: random.Random) -> RingElem:
