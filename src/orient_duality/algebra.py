@@ -204,7 +204,13 @@ class CoeffRing:
 
 def _canonical(terms: dict) -> dict:
     """``terms`` without zero coefficients, with Fractions of denominator 1
-    turned into ints."""
+    turned into ints: ``terms`` itself, which every caller builds fresh,
+    where it holds only nonzero ints."""
+    for c in terms.values():
+        if not c or type(c) is not int:
+            break
+    else:
+        return terms
     out = {}
     for k, c in terms.items():
         if c:
@@ -224,9 +230,10 @@ def _wrap(ring: CoeffRing, packed: dict) -> "RingElem":
 
 def fused_mul(acc: dict, c: "RingElem", d_items) -> None:
     """Add the key map of c * d into the raw map ``acc``, the one loop of
-    coefficient products.  ``d_items`` are d's (key, coefficient) pairs in
-    ascending key order, so the loop stops at the first pair whose key sum
-    reaches ``CoeffRing._limit`` (None truncates nothing)."""
+    coefficient products.  ``d_items`` are d's (key, coefficient) pairs, in
+    ascending key order where the ring truncates: the loop stops at the
+    first pair whose key sum reaches ``CoeffRing._limit`` (None truncates
+    nothing, and then any order will do)."""
     limit = c.ring._limit or inf
     for k1, c1 in c._t.items():
         room = limit - k1

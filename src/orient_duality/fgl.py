@@ -40,10 +40,11 @@ g_n = (n + 1) * [x^(n+1)] log.  For the integer rings the values are
 proved integral before being returned.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 
-from .algebra import CoeffRing, RingElem, RingKind
-from .errors import InternalConsistencyError, TruncationUnsoundError
+from .algebra import CoeffRing, RingElem, RingKind, fused_mul, wrap_sums
+from .errors import InternalConsistencyError, RingMismatchError, TruncationUnsoundError
 from .spaces import Space, SparseClass
 
 
@@ -162,12 +163,17 @@ def unit_reciprocal(ring: CoeffRing, u: list) -> list:
 
 def _power_sum(s: Series, arg, out):
     """out + sum(s[d] * arg^d, 1 <= d <= s.trunc), the one evaluation loop
-    behind ``compose``, ``eval_nilpotent`` and ``_series_on_nilpoly``.
+    behind ``compose``, ``eval_nilpotent`` and ``_series_on_nilpoly``, for
+    classes ``out`` and ``arg`` of one kind.
 
     It stops at the first power of ``arg`` that vanishes, so an argument
     without constant term inside a truncated or nilpotent algebra costs no
-    product past its last nonzero power.
+    product past its last nonzero power.  Each tuple's terms s[d] * p sum
+    into one raw ring-key map through ``fused_mul``, wrapped once at the end.
     """
+    if arg.ring != s.ring:
+        raise RingMismatchError("series and argument over different coefficient rings")
+    sums = defaultdict(dict, {e: dict(c._t) for e, c in out.terms.items()})
     power = None
     for d in range(1, s.trunc + 1):
         power = arg if power is None else power * arg
@@ -175,8 +181,10 @@ def _power_sum(s: Series, arg, out):
             break
         c = s[d]
         if c:
-            out = out + power * c
-    return out
+            items = sorted(c._t.items())
+            for e, p in power.terms.items():
+                fused_mul(sums[e], p, items)
+    return out._like(wrap_sums(out.ring, sums))
 
 
 def apply_law(F: "FGL", p, q):
@@ -229,6 +237,7 @@ class FGL:
       has held at full precision;
     * ``"axioms"``: the witness of ``check_axioms`` (None when they hold);
     * ``"v1"``: the witness of ``verify``'s check V1, which reads only the law;
+    * ``"v13"``, ``"v14"``: the witnesses of V13 and V14 on P^n, keyed by n;
     * ``"kernel"``: the diagonal kernels of P^n, keyed by n (``gysin``);
     * ``"diagonal_class"``: the diagonal classes on X x X, keyed by the
       space X (``gysin``);

@@ -108,7 +108,7 @@ def pushforward_coh(f: Morphism, alpha: CohClass, law: FGL) -> CohClass:
         shift = f.target.factors[f.factor] - f.degree
         t = f.factor
         terms = {e[:t] + (e[t] + shift,) + e[t + 1 :]: c for e, c in alpha.terms.items()}
-        return CohClass(f.target, alpha.ring, terms)
+        return alpha._like(terms, f.target)
     if isinstance(f, Projection):
         # alpha / [fibre], with the fibre's slots picked out of each term
         weights = fundamental_class(f.fibre, law).terms
@@ -120,7 +120,7 @@ def pushforward_coh(f: Morphism, alpha: CohClass, law: FGL) -> CohClass:
                 expo, c = tuple(e[t] for t in f.keep), c * g
                 prev = terms.get(expo)
                 terms[expo] = c if prev is None else prev + c
-        return CohClass(f.target, alpha.ring, terms)
+        return alpha._like(terms, f.target)
     if isinstance(f, Diagonal):
         return diagonal_section(f).pullback(alpha) * placed_kernel(f, law)
     if isinstance(f, Permutation):

@@ -142,7 +142,7 @@ def pushforward_hom(f: Morphism, a: HomClass) -> HomClass:
         values = {tuple(v[p] for p in f.perm): c for v, c in a.terms.items()}
     else:
         raise TypeError("unknown morphism shape %r" % type(f).__name__)
-    return HomClass(f.target, a.ring, values)
+    return a._like(values, f.target)
 
 
 def shriek_hom(f: Morphism, a: HomClass, law: FGL) -> HomClass:
@@ -180,7 +180,7 @@ def shriek_hom(f: Morphism, a: HomClass, law: FGL) -> HomClass:
                 values[tuple(expo)] = g * c
     else:
         raise TypeError("unknown morphism shape %r" % type(f).__name__)
-    return HomClass(f.source, a.ring, values)
+    return a._like(values, f.source)
 
 
 def diamond_hom(f: Morphism, law: FGL):
@@ -270,7 +270,7 @@ def duality_to_coh(a: HomClass, law: FGL) -> CohClass:
             for i, d in cols[v[t]]:
                 fused_mul(sums[v[:t] + (i,) + v[t + 1 :]], c, d)
         values = wrap_sums(a.ring, sums)
-    return CohClass(a.space, a.ring, values)
+    return CohClass._trusted(a.space, a.ring, values)
 
 
 # -- projective bundle decomposition ----------------------------------------

@@ -14,7 +14,13 @@ elements with checks, equality, sums, scaling, the product of two classes
 of one kind, the graded term order, JSON literals and the external
 product.  Each subclass constructor keeps
 its own range rule; ``CohClass`` drops out-of-bound exponents (the quotient
-relations), so equal classes always have equal term maps.
+relations), so equal classes always have equal term maps.  Results in
+range by construction only drop zeros (``SparseClass._trusted``): the
+operations here, the ``_placed`` pullbacks, ``pushforward_coh`` on
+embeddings and projections, ``pushforward_hom``, ``shriek_hom``, both
+duality maps and ``verify``'s samples.  Literals, ``monomial`` and the
+pullbacks along ``LinearEmbed`` and ``Diagonal``, which rely on the
+quotient to drop out-of-box terms, keep the checked constructors.
 
 Cup, cap and series products share one kernel, ``packed_pairs``, over a
 table of packed keys (``packed_keys``: the box, or a simplex for ``fgl``):
@@ -45,7 +51,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .algebra import CoeffRing, RingElem, fused_mul, wrap_sums
 from .errors import (
@@ -100,12 +106,18 @@ class Space:
 
 
 def basis(space: Space) -> list[tuple[int, ...]]:
-    """All exponent tuples, in graded-lexicographic order."""
+    """All exponent tuples, in graded-lexicographic order: a fresh list."""
+    return list(_basis(space))
+
+
+@lru_cache(maxsize=128)
+def _basis(space: Space) -> tuple[tuple[int, ...], ...]:
+    """The tuples of ``basis``, built once per space.  Shared: read only."""
     tuples = [()]
     for n in space.factors:
         tuples = [t + (e,) for t in tuples for e in range(n + 1)]
     tuples.sort(key=lambda t: (sum(t), t))
-    return tuples
+    return tuple(tuples)
 
 
 @lru_cache(maxsize=128)
@@ -162,13 +174,15 @@ def packed_pairs(left: "SparseClass", right: "SparseClass", total: int, sign: in
     (g = b).  Where ``right`` has fewer terms than that box, and on the
     simplex tables of ``fgl``, it tests every pair instead.  Each g sums
     its products c * d into one raw ring-key map by ``fused_mul``, over
-    the ring keys of d sorted once per call, and ``wrap_sums`` cleans the
+    the ring keys of d, sorted once per call where the ring truncates (the
+    early stop of ``fused_mul`` needs the order), and ``wrap_sums`` cleans the
     maps at the end."""
     if not left.terms or not right.terms:
         return {}
     space = left.space
     keys, expos = packed_keys(space, total)
-    by_key = {keys[f]: sorted(d._t.items()) for f, d in right.terms.items()}
+    order = sorted if left.ring._limit is not None else list
+    by_key = {keys[f]: order(d._t.items()) for f, d in right.terms.items()}
     find = by_key.get
     walk = total == space.total_dim
     half = space.nfactors // 2
@@ -223,13 +237,18 @@ class SparseClass:
         self.ring = ring
         self.terms = terms
 
-    def _like(self, terms: dict, space: Space | None = None):
-        """A class of the same kind over the same ring from in-range terms,
-        without their zeros: the one zero filter of every operation here."""
-        out = object.__new__(type(self))
-        out.space, out.ring = self.space if space is None else space, self.ring
-        out.terms = {e: c for e, c in terms.items() if c}
+    @classmethod
+    def _trusted(cls, space: Space, ring: CoeffRing, terms: dict):
+        """A class from in-range terms, without their zeros and unchecked:
+        the one zero filter of every operation here."""
+        out = object.__new__(cls)
+        out.space, out.ring = space, ring
+        out.terms = {e: c for e, c in terms.items() if c._t}
         return out
+
+    def _like(self, terms: dict, space: Space | None = None):
+        """``_trusted`` for a result of this class's kind and ring."""
+        return self._trusted(self.space if space is None else space, self.ring, terms)
 
     @staticmethod
     def _split_box(space: Space, terms: dict) -> tuple[dict, list]:
@@ -519,7 +538,7 @@ class Morphism:
             for i, t in enumerate(slots):
                 expo[t] = e[i]
             terms[tuple(expo)] = c
-        return CohClass(self.source, alpha.ring, terms)
+        return alpha._like(terms, self.source)
 
     def render(self) -> str:
         raise NotImplementedError
@@ -545,11 +564,11 @@ class Projection(Morphism):
         object.__setattr__(self, "keep", keep)
         object.__setattr__(self, "target", Space(tuple(self.source.factors[t] for t in keep)))
 
-    @property
+    @cached_property
     def dropped(self) -> tuple[int, ...]:
         return tuple(t for t in range(self.source.nfactors) if t not in self.keep)
 
-    @property
+    @cached_property
     def fibre(self) -> Space:
         """The product of the dropped factors."""
         return Space(tuple(self.source.factors[t] for t in self.dropped))

@@ -4,7 +4,10 @@ Every check asserts an exact polynomial identity; there are no tolerances.
 A check either passes or returns a witness: the offending inputs plus both
 sides, rendered.  Sampling is deterministic: each (check, theory, space)
 cell derives its own generator from the configured seed, so reports are
-byte-identical across runs and independent of execution order.
+byte-identical across runs and independent of execution order.  Samples
+draw with ``rng.choice`` over fixed ranges (the draws of ``rng.randint``
+over the same bounds).  V1, V13 and V14 read only the law and the factor
+dimensions: their verdicts are kept in the law's memo, reported per cell.
 
 Checks
 ------
@@ -31,9 +34,9 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .algebra import CoeffRing, RingKind, wrap_sums
+from .algebra import CoeffRing, RingKind, _wrap
 from .errors import CalculatorError, TruncationUnsoundError
 from .fgl import FGL, apply_law, check_axioms, law_for
 from .gysin import (
@@ -125,6 +128,9 @@ def _derive_rng(seed: int, *labels: str) -> random.Random:
 # -- deterministic sampling -------------------------------------------------
 
 
+_CONST, _SCALE, _DENOM = range(-3, 4), range(-2, 3), range(2, 4)  # the draws of ``_sample``
+
+
 @lru_cache(maxsize=16)
 def _symbol_keys(ring: CoeffRing) -> tuple:
     """keys[idx][power - 1] is the key of b_idx^power, None where truncation drops it."""
@@ -134,20 +140,24 @@ def _symbol_keys(ring: CoeffRing) -> tuple:
 
 def _sample(cls, space: Space, ring: CoeffRing, rng: random.Random):
     """Coefficients a + s*b_idx^power + p/q, drawn as the same stream that
-    ring arithmetic on those terms would draw, each key map canonicalised once."""
+    ring arithmetic on those terms would draw, each key map built canonical."""
     keys = _symbol_keys(ring)
-    accs = {}
+    draw, coin, fractions = rng.choice, rng.random, ring.allows_fractions
+    terms = {}
     for e in basis(space):
-        if rng.random() < 0.75:
-            raw = accs[e] = {0: rng.randint(-3, 3)}
-            if keys and rng.random() < 0.5:
-                key = keys[rng.randrange(len(keys))][rng.randint(1, 2) - 1]
-                scale = rng.randint(-2, 2)  # drawn even where the key is dropped
-                if key is not None:
+        if coin() < 0.75:
+            a, raw = draw(_CONST), {}
+            if keys and coin() < 0.5:
+                key = draw(draw(keys))  # b_idx, then its power 1 or 2
+                scale = draw(_SCALE)  # drawn even where the key is dropped
+                if key is not None and scale:
                     raw[key] = scale
-            if ring.allows_fractions and rng.random() < 0.25:
-                raw[0] += Fraction(rng.randint(-2, 2), rng.randint(2, 3))
-    return cls(space, ring, wrap_sums(ring, accs))
+            if fractions and coin() < 0.25:
+                a += Fraction(draw(_SCALE), draw(_DENOM))
+                if a.denominator == 1:
+                    a = a.numerator
+            terms[e] = _wrap(ring, {0: a, **raw} if a else raw)  # ``_trusted`` drops zeros
+    return cls._trusted(space, ring, terms)
 
 
 def sample_class(space: Space, ring: CoeffRing, rng: random.Random) -> CohClass:
@@ -519,96 +529,89 @@ def _check_diag_recursion(ctx: _Ctx):
     return None
 
 
-def _check_identity_decomposition(ctx: _Ctx):
-    law, ring = ctx.law, ctx.ring
+def _per_dimension(kind: str, witness, ctx: _Ctx):
+    """V13 and V14, which read only the law and n: the first witness over
+    the factor dimensions n of the space, each kept in the law's memo."""
     for n in sorted(set(ctx.space.factors)):
-        pn = Space((n,))
-        C = kernel(law, n).C
-        embeds = [LinearEmbed(pn, 0, n - i) for i in range(n + 1)]
-        projs = [Projection(Space((n, k)), (0,)) for k in range(n + 1)]
-        for e in basis(pn):
-            a = HomClass.delta(pn, ring, e)
-            acc = HomClass.zero(pn, ring)
-            for i in range(n + 1):
-                si = diamond_hom(embeds[i], law)(a)
-                if not si:
-                    continue
-                for j in range(n + 1):
-                    if not C[i][j]:
-                        continue
-                    acc = acc + diamond_hom(projs[n - j], law)(si) * C[i][j]
-            if acc != a:
-                return _mismatch(
-                    "id = sum_ij a_ij (p_1,n-j)diamond (s_i)diamond", acc, a, n=str(n), basis_elem=str(e)
-                )
+        w = ctx.law.derived(kind, n, lambda: witness(ctx.law, n))
+        if w is not None:
+            return w
     return None
 
 
-def _check_diamond_squares(ctx: _Ctx):
-    law, ring = ctx.law, ctx.ring
-    for n in sorted(set(ctx.space.factors)):
-        if n < 1:
-            continue
-        pn = Space((n,))
-        to_point = Projection(pn, ())
-        for j in range(n + 1):
-            f = Projection(Space((n, n - j)), (0,))
-            f_dia = diamond_hom(f, law)
-            for i in range(n + 1):
-                g = LinearEmbed(pn, 0, n - i)
-                g_dia = diamond_hom(g, law)
-                top = LinearEmbed(Space((n, n - j)), 0, n - i)
-                left = Projection(Space((n - i, n - j)), (0,))
-                h1 = compose(g, left)
-                h2 = compose(f, top)
-                h1_dia = diamond_hom(h1, law)
-                h2_dia = diamond_hom(h2, law)
-                for e in basis(pn):
-                    a = HomClass.delta(pn, ring, e)
-                    want = f_dia(g_dia(a))
-                    for label, got in (
-                        ("h diamond (via bottom-left)", h1_dia(a)),
-                        ("h diamond (via top-right)", h2_dia(a)),
-                        ("g diamond then f diamond", g_dia(f_dia(a))),
-                    ):
-                        if got != want:
-                            return _mismatch(
-                                "transversal square: %s = f diamond then g diamond" % label,
-                                got,
-                                want,
-                                n=str(n),
-                                i=str(i),
-                                j=str(j),
-                                basis_elem=str(e),
-                            )
-            # base-change square: push to the point commutes with diamonds
-            pnj = Space((n - j,))
-            down_n = Projection(pn, ())
-            down_nj_dia = diamond_hom(Projection(pnj, ()), law)
-            for e in basis(pn):
-                a = HomClass.delta(pn, ring, e)
-                lhs = pushforward_hom(down_n, f_dia(a))
-                rhs = down_nj_dia(pushforward_hom(down_n, a))
-                if lhs != rhs:
-                    return _mismatch(
-                        "p_* of a projection diamond = diamond of p_*",
-                        lhs,
-                        rhs,
-                        n=str(n),
-                        j=str(j),
-                        basis_elem=str(e),
-                    )
+def _check_identity_decomposition(law: FGL, n: int):
+    ring = law.ring
+    pn = Space((n,))
+    C = kernel(law, n).C
+    embeds = [LinearEmbed(pn, 0, n - i) for i in range(n + 1)]
+    projs = [Projection(Space((n, k)), (0,)) for k in range(n + 1)]
+    for e in basis(pn):
+        a = HomClass.delta(pn, ring, e)
+        acc = HomClass.zero(pn, ring)
+        for i in range(n + 1):
+            si = diamond_hom(embeds[i], law)(a)
+            if not si:
+                continue
+            for j in range(n + 1):
+                if not C[i][j]:
+                    continue
+                acc = acc + diamond_hom(projs[n - j], law)(si) * C[i][j]
+        if acc != a:
+            return _mismatch(
+                "id = sum_ij a_ij (p_1,n-j)diamond (s_i)diamond", acc, a, n=str(n), basis_elem=str(e)
+            )
+    return None
+
+
+def _check_diamond_squares(law: FGL, n: int):
+    if n < 1:
+        return None
+    ring = law.ring
+    pn = Space((n,))
+    to_point = Projection(pn, ())
+    for j in range(n + 1):
+        f = Projection(Space((n, n - j)), (0,))
+        f_dia = diamond_hom(f, law)
         for i in range(n + 1):
             g = LinearEmbed(pn, 0, n - i)
             g_dia = diamond_hom(g, law)
+            top = LinearEmbed(Space((n, n - j)), 0, n - i)
+            left = Projection(Space((n - i, n - j)), (0,))
+            h1 = compose(g, left)
+            h2 = compose(f, top)
+            h1_dia = diamond_hom(h1, law)
+            h2_dia = diamond_hom(h2, law)
             for e in basis(pn):
                 a = HomClass.delta(pn, ring, e)
-                lhs = pushforward_hom(to_point, g_dia(a))
-                rhs = psi(i, to_point, a)
-                if lhs != rhs:
-                    return _mismatch(
-                        "p_* s_i diamond = psi_i", lhs, rhs, n=str(n), i=str(i), basis_elem=str(e)
-                    )
+                want = f_dia(g_dia(a))
+                for label, got in (
+                    ("h diamond (via bottom-left)", h1_dia(a)),
+                    ("h diamond (via top-right)", h2_dia(a)),
+                    ("g diamond then f diamond", g_dia(f_dia(a))),
+                ):
+                    if got != want:
+                        return _mismatch("transversal square: %s = f diamond then g diamond" % label,
+                                         got, want, n=str(n), i=str(i), j=str(j), basis_elem=str(e))
+        # base-change square: push to the point commutes with diamonds
+        down_nj_dia = diamond_hom(Projection(Space((n - j,)), ()), law)
+        for e in basis(pn):
+            a = HomClass.delta(pn, ring, e)
+            lhs = pushforward_hom(to_point, f_dia(a))
+            rhs = down_nj_dia(pushforward_hom(to_point, a))
+            if lhs != rhs:
+                return _mismatch("p_* of a projection diamond = diamond of p_*", lhs, rhs,
+                                 n=str(n), j=str(j), basis_elem=str(e))
+    for i in range(n + 1):
+        g = LinearEmbed(pn, 0, n - i)
+        g_dia = diamond_hom(g, law)
+        for e in basis(pn):
+            a = HomClass.delta(pn, ring, e)
+            lhs = pushforward_hom(to_point, g_dia(a))
+            rhs = psi(i, to_point, a)
+            if lhs != rhs:
+                return _mismatch(
+                    "p_* s_i diamond = psi_i", lhs, rhs, n=str(n), i=str(i), basis_elem=str(e)
+                )
     return None
 
 
@@ -695,8 +698,8 @@ CHECKS: tuple = (
     ("V10-poincare-roundtrip", _check_poincare_roundtrip),
     ("V11-duality-transport", _check_duality_transport),
     ("V12-projection-recursion", _check_diag_recursion),
-    ("V13-identity-decomposition", _check_identity_decomposition),
-    ("V14-diamond-squares", _check_diamond_squares),
+    ("V13-identity-decomposition", partial(_per_dimension, "v13", _check_identity_decomposition)),
+    ("V14-diamond-squares", partial(_per_dimension, "v14", _check_diamond_squares)),
     ("V15-up-then-down", _check_up_then_down),
     ("V16-product-calculus", _check_product_calculus),
 )

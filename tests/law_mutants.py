@@ -14,8 +14,9 @@ def with_flipped_coefficient(F: FGL, i: int, j: int, *, keep_log: bool = True, k
     derived data from the original by kind.  The kept entries are copied
     into a memo of the copy's own, so nothing the copy computes later
     reaches the original.  The formal inverse, the m-series, the log
-    identity, the axiom witness and the V1 verdict (``"v1"``) derive from
-    the table, so they are never kept.  Fundamental classes are kept with
+    identity, the axiom witness and the verdicts of V1, V13 and V14
+    (``"v1"``, ``"v13"``, ``"v14"``) derive from the table, so they are
+    never kept.  Fundamental classes are kept with
     the logarithm (they are cross products of the classes [P^n], which
     read the point classes); so are the fibre classes [Y] that projections
     read, being fundamental classes too.  Diagonal classes are kept with

@@ -6,6 +6,7 @@ import sympy
 from orient_duality.algebra import CoeffRing, RingElem, RingKind
 from orient_duality.errors import (
     InternalConsistencyError,
+    RingMismatchError,
     SpaceMismatchError,
     TruncationUnsoundError,
 )
@@ -542,6 +543,14 @@ def test_eval_nilpotent_matches_direct_substitution():
     got = two.eval_nilpotent(z)
     beta = law.ring.gen(0)
     assert got == z * 2 - (z * z) * beta
+
+
+def test_eval_nilpotent_checks_the_ring():
+    # the power sum adds raw ring keys, so a class over another ring must
+    # be refused, not read in the series' key layout
+    z = CohClass.zeta(Space((2,)), universal_law(6).ring, 0)
+    with pytest.raises(RingMismatchError):
+        multiplicative_law(6).m_series(2).eval_nilpotent(z)
 
 
 def test_series_str_is_the_dense_text():

@@ -452,3 +452,50 @@ def test_slants_and_pair_check_the_ring(mult):
         slant_r(CohClass.monomial(line, mult.ring, (1,)), HomClass.delta(sq, other, (0, 1)))
     with pytest.raises(RingMismatchError):
         pair(CohClass.one(line, mult.ring), HomClass.delta(line, other, (1,)))
+
+
+# -- results built without the range check -------------------------------------
+
+
+def _checked_rebuild(x):
+    """``x`` through its checked constructor, which drops (cohomology) or
+    rejects (homology) a tuple outside the box and drops zero elements."""
+    return type(x)(x.space, x.ring, dict(x.terms))
+
+
+def _assert_canonical(x, what):
+    # a rebuild that differs holds a tuple outside the box; every element
+    # and every coefficient inside it must be nonzero
+    assert _checked_rebuild(x) == x, what
+    assert all(c._t and all(c._t.values()) for c in x.terms.values()), what
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative", "universal"])
+def test_unchecked_results_equal_their_checked_rebuilds(laws, kind):
+    # the direct images, transfers, pullbacks, both duality maps and the
+    # samples skip the constructors' range check; rebuilding each through
+    # the checked constructor must change nothing
+    from orient_duality.gysin import pushforward_coh
+    from orient_duality.spaces import Composite, Diagonal, Permutation
+    from orient_duality.verify import _derive_rng, _generators, sample_class, sample_hom
+
+    law = laws[kind]
+    shapes = set()
+    for text in ("P0", "P2xP0", "P0xP1xP2", "P1xP0xP2"):
+        space = Space.parse(text)
+        rng = _derive_rng(7, kind, text)
+        for _ in range(3):
+            alpha, a = sample_class(space, law.ring, rng), sample_hom(space, law.ring, rng)
+            for x in (alpha, a, duality_to_hom(alpha, law), duality_to_coh(a, law)):
+                _assert_canonical(x, "duality on %s" % text)
+            for f in _generators(space):
+                shapes.add(type(f))
+                results = {
+                    "pullback": f.pullback(sample_class(f.target, law.ring, rng)),
+                    "pushforward_coh": pushforward_coh(f, sample_class(f.source, law.ring, rng), law),
+                    "pushforward_hom": pushforward_hom(f, sample_hom(f.source, law.ring, rng)),
+                    "shriek_hom": shriek_hom(f, sample_hom(f.target, law.ring, rng), law),
+                }
+                for name, x in results.items():
+                    _assert_canonical(x, "%s along %r" % (name, f))
+    assert shapes == {Projection, LinearEmbed, Diagonal, Permutation, Composite}

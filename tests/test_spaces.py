@@ -67,6 +67,16 @@ def test_basis_graded_order():
     assert len(basis(Space((2, 3)))) == 12
 
 
+def test_basis_is_a_fresh_list():
+    # the tuples are built once per space; each call hands out its own list
+    sp = Space((1, 2))
+    first = basis(sp)
+    first.reverse()
+    first.append((9, 9))
+    assert basis(sp) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (1, 2)]
+    assert basis(sp) is not basis(sp)
+
+
 def test_quotient_at_construction():
     sp = Space((1,))
     c = CohClass(sp, RING, {(2,): RING.one(), (1,): RING.one()})

@@ -161,7 +161,68 @@ def test_v1_verdict_is_memoised_per_law_and_reported_per_cell(monkeypatch):
     assert built == [bad]
 
 
+def _count_builds(law):
+    """Record on ``law`` the (kind, argument) of every memo entry it builds."""
+    real, built = law.derived, []
+    law.derived = lambda kind, arg, build: real(kind, arg, lambda: built.append((kind, arg)) or build())
+    return built
+
+
+SHARED_N_SPACES = (Space((2,)), Space((2, 2)), Space((0, 2)))  # n = 2 in each, P0 passes
+
+
+def test_v13_verdict_is_memoised_per_dimension_and_reported_per_cell():
+    # V13 reads only the law and n: with stale kernels the mutant fails it
+    # in every cell with the witness built once for n = 2; the mutant copies
+    # no V13 or V14 verdict from the original
+    law = multiplicative_law(MUT_TRUNC)
+    cfg = CheckConfig(theories=(RingKind.MULTIPLICATIVE,), spaces=SHARED_N_SPACES, truncation=MUT_TRUNC)
+    checks = ("V13-identity-decomposition", "V14-diamond-squares")
+    good = run_suite(cfg, laws={RingKind.MULTIPLICATIVE: law}, checks=checks)
+    assert {r.status for r in good} == {"pass"}
+    assert {k for k in law._memo if k[0] in ("v13", "v14")} == {(v, n) for v in ("v13", "v14") for n in (0, 2)}
+    bad = with_flipped_coefficient(law, 1, 1, keep_log=False, keep_kernels=True)
+    assert not [k for k in bad._memo if k[0] in ("v13", "v14")]
+    built = _count_builds(bad)
+    reports = run_suite(cfg, laws={RingKind.MULTIPLICATIVE: bad}, checks=checks[:1])
+    assert [r.space for r in reports] == ["P2", "P2xP2", "P0xP2"]
+    assert [r.status for r in reports] == ["fail"] * 3
+    assert reports[0].witness["n"] == "2" and all(r.witness is reports[0].witness for r in reports)
+    assert sorted(n for kind, n in built if kind == "v13") == [0, 2]
+
+
+def test_v14_verdict_is_memoised_per_dimension_and_reported_per_cell(monkeypatch):
+    # V14 holds for any point classes, so no law mutant can fail it; a
+    # broken psi does, in every cell, with the witness built once for n = 2
+    import orient_duality.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "psi", lambda i, p, a: a * 2)
+    law = multiplicative_law(MUT_TRUNC)
+    built = _count_builds(law)
+    cfg = CheckConfig(theories=(RingKind.MULTIPLICATIVE,), spaces=SHARED_N_SPACES, truncation=MUT_TRUNC)
+    reports = run_suite(cfg, laws={RingKind.MULTIPLICATIVE: law}, checks=("V14-diamond-squares",))
+    assert [r.status for r in reports] == ["fail"] * 3
+    assert reports[0].witness["identity"] == "p_* s_i diamond = psi_i"
+    assert all(r.witness is reports[0].witness for r in reports)
+    assert sorted(n for kind, n in built if kind == "v14") == [0, 2]
+
+
 # -- sampling -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lo,hi", [(-3, 3), (-2, 2), (2, 3), (1, 2), (0, 0), (0, 10)])
+def test_choice_over_a_range_draws_as_randint(lo, hi):
+    # the sampler draws with rng.choice over fixed ranges (and over tuples
+    # of the same length); the stream must be that of rng.randint
+    import random
+
+    a, b = random.Random(5), random.Random(5)
+    seq = tuple(range(lo, hi + 1))
+    for _ in range(200):
+        assert a.choice(range(lo, hi + 1)) == b.randint(lo, hi)
+        assert a.choice(seq) == b.randint(lo, hi)
+        assert a.choice(range(hi - lo + 1)) == b.randrange(hi - lo + 1)
+    assert a.getstate() == b.getstate()
 
 
 @pytest.mark.parametrize("kind", [RingKind.MULTIPLICATIVE, RingKind.UNIVERSAL])
