@@ -6,8 +6,8 @@ over terms and linearly over the coefficient ring:
 * ``LinearEmbed`` (P^m in factor t of P^n):   z_t^e  ->  z_t^(e + n - m);
   in particular 1 maps to z_t^(n-m), the class of the subspace.
 * ``Projection`` X -> the kept factors, with fibre Y the product of the
-  dropped ones:  alpha -> alpha / [Y], so z^e maps to
-  [Y](e|dropped) * z^(e|keep), where [Y] is the fundamental class of Y.
+  dropped ones:  alpha -> alpha / [Y] (``spaces.contract`` with [Y]), so z^e
+  maps to [Y](e|dropped) * z^(e|keep), [Y] the fundamental class of Y.
 * ``Diagonal`` at factor t: alpha -> pull(alpha) * K, where pull forgets
   the duplicated slot and K is the diagonal kernel of P^(n_t) pulled back
   to the two slots.
@@ -30,10 +30,10 @@ Point classes enter through [P^n] and K_n only.  The point classes g_n
 (``fgl.pn_class``) are read in two places: the kernel K_n of P^n and the
 class [P^n](z^e) = g_(n-e), whose cross products are the fundamental
 classes [X] (``fundamental_class``, kept in the law's memo); every other
-formula puts these together by cross product, pullback or lookup.  The
-homological transposes f_* and f^! (``homodual``) use the same per-shape
-data: [fibre] for projections and ``placed_kernel``, the pullback of
-K_n to two slots, for diagonals.
+formula puts these together by cross product, contraction or placement.
+The homological transposes f_* and f^! (``homodual``) use the same
+per-shape data: [fibre] for projections and ``placed_kernel``, K_n placed
+in two slots (``spaces.place``), for diagonals.
 """
 
 from dataclasses import dataclass
@@ -50,6 +50,8 @@ from .spaces import (
     Permutation,
     Projection,
     Space,
+    contract,
+    place,
 )
 
 
@@ -57,15 +59,14 @@ from .spaces import (
 class GysinKernel:
     """Diagonal data for one projective space P^n.
 
-    ``M[k][l] = g_(n-k-l)`` is the pairing matrix, ``C`` its two-sided
-    inverse, ``C[i][j] = [x^(i+j-n)] 1/(g_0 + ... + g_n x^n)``, and
+    ``C`` is the two-sided inverse of the pairing matrix g_(n-k-l),
+    ``C[i][j] = [x^(i+j-n)] 1/(g_0 + ... + g_n x^n)``, and
     ``K = sum C[i][j] z1^i z2^j`` the diagonal class on P^n x P^n.
     ``cols[j]`` holds the items ``(i, sorted(C[i][j]._t.items()))`` of column
     j's nonzero entries, in the key order ``algebra.fused_mul`` reads.
     """
 
     n: int
-    M: tuple
     C: tuple
     K: CohClass
     cols: tuple
@@ -79,16 +80,14 @@ def kernel(law: FGL, n: int) -> GysinKernel:
 def _solve_kernel(law: FGL, n: int) -> GysinKernel:
     ring = law.ring
     g = [law.pn_class(d) for d in range(n + 1)]
-    # M and C are the Hankel matrices of G(x) = sum g_d x^d and of h = 1/G:
-    # (MC)[i][j] = sum_k g_(n-i-k) h_(k+j-n) = [x^(j-i)] G h = delta_ij.
-    pad = [ring.zero()] * n
-    g_rev, h = g[::-1] + pad, pad + unit_reciprocal(ring, g)
-    M = tuple(tuple(g_rev[k + l] for l in range(n + 1)) for k in range(n + 1))  # g_(n-k-l)
+    # C is the Hankel matrix of h = 1/G, G(x) = sum g_d x^d, as the pairing
+    # matrix is G's: sum_k g_(n-i-k) h_(k+j-n) = [x^(j-i)] G h = delta_ij.
+    h = [ring.zero()] * n + unit_reciprocal(ring, g)
     C = tuple(tuple(h[i + j] for j in range(n + 1)) for i in range(n + 1))  # h_(i+j-n)
     square = Space((n, n))
     K = CohClass(square, ring, {(i, j): C[i][j] for i in range(n + 1) for j in range(n + 1)})
     cols = tuple(tuple((i, sorted(C[i][j]._t.items())) for i in range(n + 1) if C[i][j]) for j in range(n + 1))
-    return GysinKernel(n, M, C, K, cols)
+    return GysinKernel(n, C, K, cols)
 
 
 def _check_pushforward_args(f: Morphism, alpha: CohClass, law: FGL):
@@ -110,17 +109,7 @@ def pushforward_coh(f: Morphism, alpha: CohClass, law: FGL) -> CohClass:
         terms = {e[:t] + (e[t] + shift,) + e[t + 1 :]: c for e, c in alpha.terms.items()}
         return alpha._like(terms, f.target)
     if isinstance(f, Projection):
-        # alpha / [fibre], with the fibre's slots picked out of each term
-        weights = fundamental_class(f.fibre, law).terms
-        dropped = f.dropped
-        terms: dict = {}
-        for e, c in alpha.terms.items():
-            g = weights.get(tuple(e[t] for t in dropped))
-            if g is not None:
-                expo, c = tuple(e[t] for t in f.keep), c * g
-                prev = terms.get(expo)
-                terms[expo] = c if prev is None else prev + c
-        return alpha._like(terms, f.target)
+        return contract(alpha, fundamental_class(f.fibre, law), f.keep, f.dropped, f.target)
     if isinstance(f, Diagonal):
         return diagonal_section(f).pullback(alpha) * placed_kernel(f, law)
     if isinstance(f, Permutation):
@@ -137,7 +126,7 @@ def placed_kernel(f: Diagonal, law: FGL) -> CohClass:
     so that f_!(alpha) = q^*(alpha) * placed_kernel(f) with
     q = diagonal_section(f)."""
     t = f.factor
-    return Projection(f.target, (t, t + 1)).pullback(kernel(law, f.source.factors[t]).K)
+    return place(kernel(law, f.source.factors[t]).K, (t, t + 1), f.target)
 
 
 def diagonal_section(f: Diagonal) -> Projection:

@@ -29,14 +29,14 @@ generator shape has a direct formula (composites apply their parts in
 turn), which follows from the shape's pullback and Gysin map:
 
 * ``Projection``:  f_* keeps the values at tuples that vanish on the
-  dropped slots; f^! a = a x [fibre], placed in the source's slots:
+  dropped slots; f^! a = a x [fibre], placed by ``spaces.place``:
   (f^! a)(e) = a(e|keep) * [fibre](e|dropped);
 * ``LinearEmbed``: f_* keeps every value at its tuple; f^! moves slot t
   down by n - m;
 * ``Diagonal``:    f_* spreads a(v) over the tuples that split v_t into
   (i, v_t - i); f^! a = q_*(K_t cap a) with K_t the kernel pulled back to
   the two slots and q the projection that forgets the second one;
-* ``Permutation``: f_* reorders tuples; f^! = (f^-1)_*.
+* ``Permutation``: f_* reorders tuples by one gather; f^! = (f^-1)_*.
 
 Point classes enter through [P^n] and K_n: no formula here reads a point
 class itself, only [X] and the kernels that ``gysin`` builds and keeps in
@@ -45,10 +45,10 @@ the law's memo (``FGL.derived``).
 ``cap`` runs the cup product's kernel ``spaces.packed_pairs`` with the
 keys of alpha negated: each term e of alpha walks the box b <= n - e and
 looks a up at b + e, or tests every value of a where a has fewer values
-than that box.  The slants contract one block of exponents, ``pair`` is
-the slant onto the point, and every output sums its coefficient products
-through ``algebra.fused_mul``.  ``cross_hom`` is the shared external
-product.
+than that box.  The slants, ``pair`` (onto the point) and p_! are one
+contraction, ``spaces.contract``, and every output sums its coefficient
+products through ``algebra.fused_mul``.  ``cross_hom`` is the shared
+external product.
 
 The projective bundle decomposition is realised by ``psi``/``pbt_section``
 for projections that drop a single factor.
@@ -70,8 +70,10 @@ from .spaces import (
     Permutation,
     Projection,
     Space,
-    SparseClass,
+    contract,
+    gather,
     packed_pairs,
+    place,
 )
 
 __all__ = [
@@ -108,7 +110,7 @@ def pair(alpha: CohClass, a: HomClass) -> RingElem:
     alpha / a, which lands on the point."""
     _check_kinds(alpha, a)
     alpha._check(a)
-    return slant_l(alpha, a).coeff(())
+    return contract(alpha, a, (), tuple(range(a.space.nfactors)), Space.point()).coeff(())
 
 
 def pushforward_hom(f: Morphism, a: HomClass) -> HomClass:
@@ -123,12 +125,8 @@ def pushforward_hom(f: Morphism, a: HomClass) -> HomClass:
             a = pushforward_hom(part, a)
         return a
     if isinstance(f, Projection):
-        dropped = f.dropped
-        values = {
-            tuple(v[t] for t in f.keep): c
-            for v, c in a.terms.items()
-            if not any(v[t] for t in dropped)
-        }
+        kept, dropped = gather(f.keep), gather(f.dropped)
+        values = {kept(v): c for v, c in a.terms.items() if not any(dropped(v))}
     elif isinstance(f, LinearEmbed):
         values = a.terms
     elif isinstance(f, Diagonal):
@@ -139,7 +137,8 @@ def pushforward_hom(f: Morphism, a: HomClass) -> HomClass:
             for i in range(vt + 1):
                 values[head + (i, vt - i) + tail] = c
     elif isinstance(f, Permutation):
-        values = {tuple(v[p] for p in f.perm): c for v, c in a.terms.items()}
+        moved = gather(f.perm)
+        values = {moved(v): c for v, c in a.terms.items()}
     else:
         raise TypeError("unknown morphism shape %r" % type(f).__name__)
     return a._like(values, f.target)
@@ -159,27 +158,14 @@ def shriek_hom(f: Morphism, a: HomClass, law: FGL) -> HomClass:
         return pushforward_hom(f.inverse(), a)
     if isinstance(f, Diagonal):
         return pushforward_hom(diagonal_section(f), cap(placed_kernel(f, law), a))
-    values = {}
-    if isinstance(f, LinearEmbed):
-        t = f.factor
-        shift = f.target.factors[t] - f.degree
-        for w, c in a.terms.items():
-            if w[t] >= shift:
-                values[w[:t] + (w[t] - shift,) + w[t + 1 :]] = c
-    elif isinstance(f, Projection):
-        # a x [fibre], each value placed at its slots of the source
-        weights = fundamental_class(f.fibre, law).terms.items()
-        dropped = f.dropped
-        expo = [0] * f.source.nfactors
-        for w, c in a.terms.items():
-            for t, x in zip(f.keep, w):
-                expo[t] = x
-            for d, g in weights:
-                for t, x in zip(dropped, d):
-                    expo[t] = x
-                values[tuple(expo)] = g * c
-    else:
+    if isinstance(f, Projection):
+        # a x [fibre], its slots placed in the source's
+        return place(a.cross(fundamental_class(f.fibre, law)), f.keep + f.dropped, f.source)
+    if not isinstance(f, LinearEmbed):
         raise TypeError("unknown morphism shape %r" % type(f).__name__)
+    t = f.factor
+    shift = f.target.factors[t] - f.degree
+    values = {w[:t] + (w[t] - shift,) + w[t + 1 :]: c for w, c in a.terms.items() if w[t] >= shift}
     return a._like(values, f.source)
 
 
@@ -217,7 +203,7 @@ def slant_l(alpha: CohClass, a: HomClass) -> CohClass:
         raise SpaceMismatchError(
             "slant needs %s to end with %s" % (alpha.space, a.space)
         )
-    return _contract(alpha, a, slice(None, kx), slice(kx, None))
+    return contract(alpha, a, tuple(range(kx)), tuple(range(kx, kx + ky)), Space(alpha.space.factors[:kx]))
 
 
 def slant_r(alpha: CohClass, b: HomClass) -> HomClass:
@@ -230,22 +216,7 @@ def slant_r(alpha: CohClass, b: HomClass) -> HomClass:
         raise SpaceMismatchError(
             "slant needs %s to start with %s" % (b.space, alpha.space)
         )
-    return _contract(b, alpha, slice(kx, None), slice(None, kx))
-
-
-def _contract(big: SparseClass, small: SparseClass, keep: slice, match: slice) -> SparseClass:
-    """Both slants: the class of ``big``'s kind on its factors ``keep``,
-    whose coefficient at u sums c * small(e[match]) over the terms (e, c)
-    of big with e[keep] = u.  Each coefficient of small is sorted once."""
-    if big.ring != small.ring:
-        raise RingMismatchError("classes over different coefficient rings")
-    right = {f: sorted(d._t.items()) for f, d in small.terms.items()}
-    sums = defaultdict(dict)
-    for e, c in big.terms.items():
-        d = right.get(e[match])
-        if d is not None:
-            fused_mul(sums[e[keep]], c, d)
-    return big._like(wrap_sums(big.ring, sums), Space(big.space.factors[keep]))
+    return contract(b, alpha, tuple(range(kx, kx + ky)), tuple(range(kx)), Space(b.space.factors[kx:]))
 
 
 # -- duality ----------------------------------------------------------------

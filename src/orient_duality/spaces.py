@@ -16,9 +16,9 @@ product.  Each subclass constructor keeps
 its own range rule; ``CohClass`` drops out-of-bound exponents (the quotient
 relations), so equal classes always have equal term maps.  Results in
 range by construction only drop zeros (``SparseClass._trusted``): the
-operations here, the ``_placed`` pullbacks, ``pushforward_coh`` on
-embeddings and projections, ``pushforward_hom``, ``shriek_hom``, both
-duality maps and ``verify``'s samples.  Literals, ``monomial`` and the
+operations here, ``contract`` and ``place``, ``pushforward_coh`` on
+embeddings, ``pushforward_hom``, ``shriek_hom``, both duality maps and
+``verify``'s samples.  Literals, ``monomial`` and the
 pullbacks along ``LinearEmbed`` and ``Diagonal``, which rely on the
 quotient to drop out-of-box terms, keep the checked constructors.
 
@@ -34,6 +34,12 @@ Pearce's sparse products, which touch only the monomials that survive).
 The coefficient products of one output tuple go into one raw ring-key
 map through ``algebra.fused_mul``, the loop behind every product of ring
 elements, and ``algebra.wrap_sums`` canonicalises and wraps each map once.
+
+One slot gather (``gather``) serves ``contract``, which sums
+c * small(e|match) at e|keep (the slants, the pairing and p_!(alpha) =
+alpha / [fibre]), and ``place``, which puts exponent i in slot slots[i]
+and 0 elsewhere (the projection and permutation pullbacks, a diagonal's
+kernel and p^!(a) = a x [fibre]).
 
 Morphisms come in four generator shapes plus composites:
 
@@ -52,6 +58,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .algebra import CoeffRing, RingElem, fused_mul, wrap_sums
 from .errors import (
@@ -205,6 +212,44 @@ def packed_pairs(left: "SparseClass", right: "SparseClass", total: int, sign: in
         for g, d in hits:
             fused_mul(out[g], c, d)
     return wrap_sums(left.ring, {expos[g]: acc for g, acc in out.items()})
+
+
+@lru_cache(maxsize=1024)
+def gather(slots: tuple[int, ...]):
+    """e -> (e[t] for t in slots), one ``itemgetter`` per slot tuple (one
+    slot and none take a slice: a one-slot itemgetter returns the entry)."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    return itemgetter(slice(slots[0], slots[0] + 1) if slots else slice(0))
+
+
+def contract(big: "SparseClass", small: "SparseClass", keep: tuple, match: tuple, space: Space):
+    """The class of ``big``'s kind on ``space`` whose coefficient at u sums
+    c * small(e|match) over the terms (e, c) of big with e|keep = u."""
+    if big.ring != small.ring:
+        raise RingMismatchError("classes over different coefficient rings")
+    order = sorted if big.ring._limit is not None else list  # for the early stop of fused_mul
+    find = {f: order(d._t.items()) for f, d in small.terms.items()}.get
+    key, sub = gather(keep), gather(match)
+    sums = defaultdict(dict)
+    for e, c in big.terms.items():
+        d = find(sub(e))
+        if d is not None:
+            fused_mul(sums[key(e)], c, d)
+    return big._like(wrap_sums(big.ring, sums), space)
+
+
+@lru_cache(maxsize=1024)
+def _placing(slots: tuple[int, ...], k: int):
+    """Slot s reads entry i of e where slots[i] = s, else the pad e[len(slots)]."""
+    return gather(tuple(slots.index(s) if s in slots else len(slots) for s in range(k)))
+
+
+def place(x: "SparseClass", slots: tuple, space: Space):
+    """x on ``space`` with exponent i of each term in slot slots[i] and 0
+    in every other slot, by one gather over e + (0,)."""
+    get = _placing(slots, space.nfactors)
+    return x._like({get(e + (0,)): c for e, c in x.terms.items()}, space)
 
 
 def parse_exponents(space: Space, raw, what: str) -> tuple[int, ...]:
@@ -362,6 +407,13 @@ class SparseClass:
         """Terms by degree, then exponents in decreasing lexicographic order."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))
 
+    def _rendered_terms(self):
+        """(tuple, coefficient text) in ``_sorted_terms`` order, each element
+        rendered once (by identity: a diagonal class shares its elements)."""
+        texts = {}
+        for e, c in self._sorted_terms():
+            yield e, texts.get(id(c)) or texts.setdefault(id(c), c.render())
+
     # Subclasses name the literal's key {_JSON_KEY: [{"zeta": .., "coeff": ..}]}
     # and, for parse errors, the literal (_LITERAL) and one tuple (_NOUN).
 
@@ -439,21 +491,20 @@ class CohClass(SparseClass):
         if not self.terms:
             return "0"
         parts = []
-        for expo, c in self._sorted_terms():
+        for expo, coeff in self._rendered_terms():
             zetas = []
             for t, e in enumerate(expo):
                 if e == 1:
                     zetas.append("z%d" % (t + 1))
                 elif e > 1:
                     zetas.append("z%d^%d" % (t + 1, e))
-            coeff = c.render()
             if not zetas:
                 parts.append(coeff)
             elif coeff == "1":
                 parts.append("*".join(zetas))
             elif coeff == "-1":
                 parts.append("-" + "*".join(zetas))
-            elif len(c._t) == 1:
+            elif " " not in coeff:  # one monomial; a sum spaces its signs
                 parts.append("*".join([coeff] + zetas))
             else:
                 parts.append("*".join(["(%s)" % coeff] + zetas))
@@ -499,10 +550,7 @@ class HomClass(SparseClass):
     def render(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for e, c in self._sorted_terms():
-            parts.append("z^(%s): %s" % (",".join(str(x) for x in e), c.render()))
-        return "; ".join(parts)
+        return "; ".join("z^(%s): %s" % (",".join(map(str, e)), text) for e, text in self._rendered_terms())
 
     def __repr__(self) -> str:
         return "HomClass(%s; %s)" % (self.space.render(), self.render())
@@ -526,19 +574,6 @@ class Morphism:
                 "pullback along %s needs a class on %s, got one on %s"
                 % (self.render(), self.target, alpha.space)
             )
-
-    def _placed(self, alpha: CohClass, slots: tuple[int, ...]) -> CohClass:
-        """The pullback that puts exponent i of alpha in source slot
-        slots[i] and zeros elsewhere (projections and permutations)."""
-        self._check_target_class(alpha)
-        k = self.source.nfactors
-        terms = {}
-        for e, c in alpha.terms.items():
-            expo = [0] * k
-            for i, t in enumerate(slots):
-                expo[t] = e[i]
-            terms[tuple(expo)] = c
-        return alpha._like(terms, self.source)
 
     def render(self) -> str:
         raise NotImplementedError
@@ -574,7 +609,8 @@ class Projection(Morphism):
         return Space(tuple(self.source.factors[t] for t in self.dropped))
 
     def pullback(self, alpha: CohClass) -> CohClass:
-        return self._placed(alpha, self.keep)
+        self._check_target_class(alpha)
+        return place(alpha, self.keep, self.source)
 
     def render(self) -> str:
         return "proj(%s)" % ",".join(str(t) for t in self.keep)
@@ -661,7 +697,8 @@ class Permutation(Morphism):
         return Permutation(self.target, tuple(inv))
 
     def pullback(self, alpha: CohClass) -> CohClass:
-        return self._placed(alpha, self.perm)
+        self._check_target_class(alpha)
+        return place(alpha, self.perm, self.source)
 
     @property
     def is_identity(self) -> bool:

@@ -8,6 +8,8 @@ byte-identical across runs and independent of execution order.  Samples
 draw with ``rng.choice`` over fixed ranges (the draws of ``rng.randint``
 over the same bounds).  V1, V13 and V14 read only the law and the factor
 dimensions: their verdicts are kept in the law's memo, reported per cell.
+V13 and V14 hold for any point classes once the kernels are rebuilt from
+them: they guard the diamond operators and the kernels, not the law.
 
 Checks
 ------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orient_duality.algebra import CoeffRing, RingKind
+from orient_duality.algebra import CoeffRing, RingElem, RingKind
 from orient_duality import cli
 from orient_duality.cli import MAX_UNIVERSAL_TRUNCATION, _emit, _parse_class_json, main, parse_morphism
 from orient_duality.errors import ParseError
@@ -370,6 +370,27 @@ def test_cli_calls_share_no_render_memo(monkeypatch, capsys):
     assert at_first == at_second == {}
     assert first and first == second  # the same entries, rendered twice
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_each_distinct_coefficient_renders_once(monkeypatch, capsys, fmt):
+    """The diagonal class of P4xP4 has 225 terms over 25 shared elements
+    (one per tuple of exponent sums); either form renders each once."""
+    calls, real = [], RingElem.render
+
+    def counting(self):
+        calls.append(id(self))
+        return real(self)
+
+    monkeypatch.setattr(RingElem, "render", counting)
+    code, out, _ = _run(capsys, "kernel", "--theory", "universal", "--space", "P4xP4", "--format", fmt)
+    assert code == 0
+    monkeypatch.setattr(RingElem, "render", real)
+    K = diagonal_kernel_class(Space.parse("P4xP4"), law_for(RingKind.UNIVERSAL, 9))
+    distinct = {id(c) for c in K.terms.values()}
+    assert len(K.terms) == 225 and len(calls) == len(set(calls)) == len(distinct) == 25
+    want = K.render() if fmt == "text" else json.dumps({"space": str(K.space), **K.to_json_obj()}, indent=2)
+    assert out == want + "\n"
 
 
 # -- morphism grammar ---------------------------------------------------------

@@ -18,6 +18,12 @@ definitions, evaluated the slow way:
   through the fused accumulator);
 * (f_* a)(z^e) = a(f^* z^e) for every basis monomial of the target;
 * (f^! a)(z^e) = <f_!(z^e), a> for every basis monomial of the source;
+* ``spaces.contract`` with [fibre] and ``spaces.place`` of a x [fibre],
+  the direct image and transfer along a projection, against the per-term
+  loops they replaced (``loop_pushforward_projection``,
+  ``loop_shriek_projection``), and ``place`` and ``gather`` against
+  slot-by-slot loops (``loop_place``), for every projection, kept subset
+  and a few permutations of spaces with up to six factors;
 * the universal law's table, expanded on first read, against the eager
   construction that built it with the law (``eager_universal_table``);
 * Euler classes against the fold of F over [d](z) with the sequential
@@ -40,6 +46,7 @@ shape and for composites of two and three parts, in all three theories,
 on seeded random classes, including spaces with a P0 factor and the point.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -59,7 +66,7 @@ from orient_duality.fgl import (
     multiplicative_law,
     universal_law,
 )
-from orient_duality.gysin import diagonal_kernel_class, kernel, pushforward_coh
+from orient_duality.gysin import diagonal_kernel_class, fundamental_class, kernel, pushforward_coh
 from orient_duality.homodual import (
     HomClass,
     cap,
@@ -362,6 +369,104 @@ def test_shriek_hom_checks_the_ring(laws):
     a = HomClass.point_class(laws[RingKind.ADDITIVE].ring)
     with pytest.raises(RingMismatchError):
         shriek_hom(p, a, laws[RingKind.MULTIPLICATIVE])
+
+
+# -- the slot primitives against the loops they replaced --------------------------
+
+
+def loop_pushforward_projection(f: Projection, alpha: CohClass, law) -> CohClass:
+    """p_!(alpha) = alpha / [fibre] as a per-term loop: one lookup of the
+    dropped slots, one product and one ``RingElem`` sum per term."""
+    weights = fundamental_class(f.fibre, law).terms
+    terms: dict = {}
+    for e, c in alpha.terms.items():
+        g = weights.get(tuple(e[t] for t in f.dropped))
+        if g is not None:
+            expo, c = tuple(e[t] for t in f.keep), c * g
+            prev = terms.get(expo)
+            terms[expo] = c if prev is None else prev + c
+    return CohClass(f.target, alpha.ring, terms)
+
+
+def loop_shriek_projection(f: Projection, a: HomClass, law) -> HomClass:
+    """p^!(a) = a x [fibre], each value written slot by slot into the source."""
+    weights = fundamental_class(f.fibre, law).terms.items()
+    values = {}
+    expo = [0] * f.source.nfactors
+    for w, c in a.terms.items():
+        for t, x in zip(f.keep, w):
+            expo[t] = x
+        for d, g in weights:
+            for t, x in zip(f.dropped, d):
+                expo[t] = x
+            values[tuple(expo)] = g * c
+    return HomClass(f.source, a.ring, values)
+
+
+def loop_place(alpha: CohClass, slots: tuple, space: Space) -> CohClass:
+    """Exponent i of each term written into slot slots[i], zeros elsewhere."""
+    terms = {}
+    for e, c in alpha.terms.items():
+        expo = [0] * space.nfactors
+        for i, t in enumerate(slots):
+            expo[t] = e[i]
+        terms[tuple(expo)] = c
+    return CohClass(space, alpha.ring, terms)
+
+
+# up to six factors, P0 factors among them; every subset of the factors is kept
+SLOT_SPACES = SPACES + tuple(
+    Space.parse(s) for s in ("P2xP1xP3", "P1xP0xP2xP1", "P1xP1xP0xP1xP1", "P1xP0xP1xP1xP0xP1", "P1xP1xP1xP1xP1xP1")
+)
+
+
+def projections_of(space: Space) -> list:
+    """Every projection of ``space``: empty, one-slot, non-contiguous keeps."""
+    k = space.nfactors
+    return [Projection(space, keep) for r in range(k + 1) for keep in itertools.combinations(range(k), r)]
+
+
+def permutations_of(space: Space, rng: random.Random) -> list:
+    k = space.nfactors
+    perms = [tuple(range(k)), tuple(reversed(range(k)))] + [tuple(rng.sample(range(k), k)) for _ in range(3)]
+    return [Permutation(space, p) for p in perms]
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("space", SLOT_SPACES, ids=str)
+def test_contract_and_place_match_projection_loops(laws, kind, space):
+    """p_! as ``contract`` with [fibre] and p^! as ``place`` of a x [fibre]
+    against the per-term loops, coefficient types included."""
+    law = laws[kind]
+    rng = random.Random("slots|%s|%s" % (kind.value, space))
+    for f in projections_of(space):
+        fibre = fundamental_class(f.fibre, law)
+        for _ in range(2):
+            alpha, a = sample_class(f.source, law.ring, rng), sample_hom(f.target, law.ring, rng)
+            want = typed_class(loop_pushforward_projection(f, alpha, law))
+            assert typed_class(spaces.contract(alpha, fibre, f.keep, f.dropped, f.target)) == want, f.render()
+            assert typed_class(pushforward_coh(f, alpha, law)) == want, f.render()
+            want = typed_class(loop_shriek_projection(f, a, law))
+            assert typed_class(spaces.place(a.cross(fibre), f.keep + f.dropped, f.source)) == want, f.render()
+            assert typed_class(shriek_hom(f, a, law)) == want, f.render()
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("space", SLOT_SPACES, ids=str)
+def test_place_matches_pullback_loop(laws, kind, space):
+    """The pullbacks along projections and permutations, and the gather
+    itself, against slot-by-slot loops."""
+    ring = laws[kind].ring
+    rng = random.Random("place|%s|%s" % (kind.value, space))
+    for f, slots in [(p, p.keep) for p in projections_of(space)] + [
+        (p, p.perm) for p in permutations_of(space, rng)
+    ]:
+        for alpha in (sample_class(f.target, ring, rng), CohClass.one(f.target, ring)):
+            want = typed_class(loop_place(alpha, slots, f.source))
+            assert typed_class(spaces.place(alpha, slots, f.source)) == want, f.render()
+            assert typed_class(f.pullback(alpha)) == want, f.render()
+        for e in basis(f.source):
+            assert spaces.gather(slots)(e) == tuple(e[t] for t in slots)
 
 
 # -- ring arithmetic against the tuple-keyed definitions -------------------------
