@@ -1,13 +1,18 @@
 """The identity verification suite.
 
-Every check asserts an exact polynomial identity; there are no tolerances.
-A check either passes or returns a witness: the offending inputs plus both
-sides, rendered.  Sampling is deterministic: each (check, theory, space)
-cell derives its own generator from the configured seed, so reports are
-byte-identical across runs and independent of execution order.  Samples
-draw with ``rng.choice`` over fixed ranges (the draws of ``rng.randint``
-over the same bounds).  V1, V13 and V14 read only the law and the factor
-dimensions: their verdicts are kept in the law's memo, reported per cell.
+Every check is a stream of exact polynomial identities, each yielded as
+(identity, lhs, rhs, inputs); there are no tolerances.  One runner,
+``_first_failure``, compares the pairs in order.  A check passes, or its
+witness is the first unequal pair: the identity, both sides and the
+inputs, rendered.  The runner counts the pairs each cell compares in
+``CheckReport.identities``, which neither output format prints.
+Sampling is deterministic: each (check, theory, space) cell derives its
+own generator from the configured seed, so reports are byte-identical
+across runs and independent of execution order.  Samples draw with
+``rng.choice`` over fixed ranges (the draws of ``rng.randint`` over the
+same bounds).  V1, V13 and V14 read only the law and the factor
+dimensions: their verdicts are kept in the law's memo, reported per
+cell, and a cell whose verdict comes from the memo counts 0 identities.
 V13 and V14 hold for any point classes once the kernels are rebuilt from
 them: they guard the diamond operators and the kernels, not the law.
 
@@ -110,6 +115,7 @@ class CheckReport:
     space: str
     status: str  # "pass" | "fail"
     witness: dict | None
+    identities: int = 0  # pairs compared in this cell; not part of either output
 
     def to_json_obj(self) -> dict:
         return {
@@ -181,13 +187,6 @@ def _render(x) -> str:
     return str(x)
 
 
-def _mismatch(identity: str, lhs, rhs, **inputs) -> dict:
-    w = {"identity": identity, "lhs": _render(lhs), "rhs": _render(rhs)}
-    for k, v in inputs.items():
-        w[k] = _render(v)
-    return w
-
-
 @dataclass
 class _Ctx:
     kind: RingKind
@@ -196,6 +195,7 @@ class _Ctx:
     space: Space
     rng: random.Random
     samples: int
+    identities: int = 0
 
 
 def _generators(space: Space) -> list[Morphism]:
@@ -224,15 +224,35 @@ def _generators(space: Space) -> list[Morphism]:
 # -- the checks -------------------------------------------------------------
 
 
+def _first_failure(ctx: _Ctx, pairs) -> dict | None:
+    """The witness of the first unequal pair, every value rendered, or None;
+    each pair compared counts on ``ctx``.  The stream is not resumed after a
+    failure, so a check draws no sample past its witness."""
+    for identity, lhs, rhs, inputs in pairs:
+        ctx.identities += 1
+        if lhs != rhs:
+            witness = {"identity": identity, "lhs": lhs, "rhs": rhs, **inputs}
+            return {k: _render(v) for k, v in witness.items()}
+    return None
+
+
+def _cell(stream):
+    """A ``CHECKS`` entry: the whole stream runs inside the call."""
+    return lambda ctx: _first_failure(ctx, stream(ctx))
+
+
 def _check_fgl_axioms(ctx: _Ctx):
     # V1 reads neither the space nor the rng: one verdict per law
-    return ctx.law.derived("v1", None, lambda: _law_witness(ctx.law))
+    law = ctx.law
+    return law.derived("v1", None, lambda: _law_witness(law) or _first_failure(ctx, _m_additivity(law)))
 
 
 def _law_witness(law: FGL):
     bad = check_axioms(law)
-    if bad is not None:
-        return {"identity": "group-law axioms", "detail": bad}
+    return None if bad is None else {"identity": "group-law axioms", "detail": bad}
+
+
+def _m_additivity(law: FGL):
     x = law.x_series()
     # independent right sides: a table law's m_series doubles ([4] = F([2], [2])),
     # so fold [m] = F(x, [m-1]) here; a law given by its log has [m] = exp(m log x)
@@ -242,105 +262,75 @@ def _law_witness(law: FGL):
     for m1, m2 in ((1, 1), (2, 1), (2, 2), (-1, 1)):
         lhs = apply_law(law, law.m_series(m1), law.m_series(m2))
         rhs = law.m_series(m1 + m2) if law.from_log else seq[m1 + m2]
-        if lhs != rhs:
-            return _mismatch("[%d](x) + [%d](x) = [%d](x)" % (m1, m2, m1 + m2), lhs, rhs, x=x)
-    return None
+        yield "[%d](x) + [%d](x) = [%d](x)" % (m1, m2, m1 + m2), lhs, rhs, {"x": x}
 
 
-def _check_orientation(ctx: _Ctx):
+def _orientation(ctx: _Ctx):
     space, law, rng = ctx.space, ctx.law, ctx.rng
     k = space.nfactors
     if k == 0:
-        return None
+        return
     for t in range(k):
         unit = tuple(1 if s == t else 0 for s in range(k))
-        lhs = euler(space, unit, law)
-        rhs = CohClass.zeta(space, law.ring, t)
-        if lhs != rhs:
-            return _mismatch("euler(O(e_%d)) = z_%d" % (t, t + 1), lhs, rhs)
+        lhs, rhs = euler(space, unit, law), CohClass.zeta(space, law.ring, t)
+        yield "euler(O(e_%d)) = z_%d" % (t, t + 1), lhs, rhs, {}
     zero_expo = (0,) * k
     for _ in range(ctx.samples):
         d1 = tuple(rng.randint(-2, 2) for _ in range(k))
         d2 = tuple(rng.randint(-2, 2) for _ in range(k))
         e1, e2 = euler(space, d1, law), euler(space, d2, law)
-        if zero_expo in e1.terms:
-            return _mismatch("euler has zero constant term", e1, CohClass.zero(space, law.ring), degrees=str(d1))
-        lhs = law.eval(e1, e2)
-        rhs = euler(space, tuple(a + b for a, b in zip(d1, d2)), law)
-        if lhs != rhs:
-            return _mismatch(
-                "euler(%s) + euler(%s) = euler(sum) under the law" % (d1, d2), lhs, rhs
-            )
-    return None
+        if zero_expo in e1.terms:  # then e1 is not zero: a failing pair
+            yield "euler has zero constant term", e1, CohClass.zero(space, law.ring), {"degrees": d1}
+        lhs, rhs = law.eval(e1, e2), euler(space, tuple(a + b for a, b in zip(d1, d2)), law)
+        yield "euler(%s) + euler(%s) = euler(sum) under the law" % (d1, d2), lhs, rhs, {}
 
 
-def _check_pbt(ctx: _Ctx):
-    space, law, ring = ctx.space, ctx.law, ctx.ring
+def _pbt(ctx: _Ctx):
+    space, ring = ctx.space, ctx.ring
     k = space.nfactors
     if k == 0:
-        return None
+        return
     p = Projection(space, tuple(range(k - 1)))
     n = space.factors[k - 1]
     for e in basis(space):
         b = HomClass.delta(space, ring, e)
-        comps = [psi(i, p, b) for i in range(n + 1)]
-        back = pbt_section(comps, p)
-        if back != b:
-            return _mismatch("section(psi_*(b)) = b", back, b, basis_elem=str(e))
+        back = pbt_section([psi(i, p, b) for i in range(n + 1)], p)
+        yield "section(psi_*(b)) = b", back, b, {"basis_elem": e}
     zero_t = HomClass.zero(p.target, ring)
     for f in basis(p.target):
         for i in range(n + 1):
             comps = [HomClass.delta(p.target, ring, f) if j == i else zero_t for j in range(n + 1)]
             b = pbt_section(comps, p)
             for j in range(n + 1):
-                got = psi(j, p, b)
-                want = comps[j]
-                if got != want:
-                    return _mismatch("psi_%d(section(x)) = x_%d" % (j, j), got, want, basis_elem=str(f))
+                yield "psi_%d(section(x)) = x_%d" % (j, j), psi(j, p, b), comps[j], {"basis_elem": f}
     b = sample_hom(space, ring, ctx.rng)
-    back = pbt_section([psi(i, p, b) for i in range(n + 1)], p)
-    if back != b:
-        return _mismatch("section(psi_*(b)) = b", back, b, b=b)
-    return None
+    yield "section(psi_*(b)) = b", pbt_section([psi(i, p, b) for i in range(n + 1)], p), b, {"b": b}
 
 
-def _check_divisor_normalization(ctx: _Ctx):
+def _divisor_normalization(ctx: _Ctx):
     space, law, ring, rng = ctx.space, ctx.law, ctx.ring, ctx.rng
     if law.truncation >= 3 and any(n >= 1 for n in space.factors):
         # the diagonal of P1 x P1 is a divisor of O(1, 1): the kernel from
         # matrix inversion must match the Euler class from the law table
-        square = Space((1, 1))
-        lhs = kernel(law, 1).K
-        rhs = euler(square, (1, 1), law)
-        if lhs != rhs:
-            return _mismatch("kernel(1) = euler(O(1,1)) on P1xP1", lhs, rhs)
+        yield "kernel(1) = euler(O(1,1)) on P1xP1", kernel(law, 1).K, euler(Space((1, 1)), (1, 1), law), {}
     for t in range(space.nfactors):
         if space.factors[t] < 1:
             continue
         emb = LinearEmbed(space, t, space.factors[t] - 1)
         i1 = pushforward_coh(emb, CohClass.one(emb.source, ring), law)
-        zt = CohClass.zeta(space, ring, t)
-        if i1 != zt:
-            return _mismatch("i_!(1) = z_%d" % (t + 1), i1, zt, embed=emb)
+        yield "i_!(1) = z_%d" % (t + 1), i1, CohClass.zeta(space, ring, t), {"embed": emb}
         unit = tuple(1 if s == t else 0 for s in range(space.nfactors))
-        ei = euler(space, unit, law)
-        if i1 != ei:
-            return _mismatch("i_!(1) = euler(O(e_%d))" % t, i1, ei, embed=emb)
+        yield "i_!(1) = euler(O(e_%d))" % t, i1, euler(space, unit, law), {"embed": emb}
         for _ in range(ctx.samples):
             alpha = sample_class(space, ring, rng)
             lhs = pushforward_coh(emb, emb.pullback(alpha), law)
-            rhs = i1 * alpha
-            if lhs != rhs:
-                return _mismatch("i_!(i^*(alpha)) = i_!(1) * alpha", lhs, rhs, alpha=alpha, embed=emb)
+            yield "i_!(i^*(alpha)) = i_!(1) * alpha", lhs, i1 * alpha, {"alpha": alpha, "embed": emb}
             a = sample_hom(space, ring, rng)
-            lhs_h = pushforward_hom(emb, shriek_hom(emb, a, law))
-            rhs_h = cap(i1, a)
-            if lhs_h != rhs_h:
-                return _mismatch("i_*(i^!(a)) = i_!(1) cap a", lhs_h, rhs_h, a=a, embed=emb)
-    return None
+            lhs = pushforward_hom(emb, shriek_hom(emb, a, law))
+            yield "i_*(i^!(a)) = i_!(1) cap a", lhs, cap(i1, a), {"a": a, "embed": emb}
 
 
-def _check_coh_projection(ctx: _Ctx):
+def _coh_projection(ctx: _Ctx):
     space, law, ring, rng = ctx.space, ctx.law, ctx.ring, ctx.rng
     for f in _generators(space):
         for _ in range(ctx.samples):
@@ -348,14 +338,11 @@ def _check_coh_projection(ctx: _Ctx):
             beta = sample_class(f.source, ring, rng)
             lhs = pushforward_coh(f, f.pullback(alpha) * beta, law)
             rhs = alpha * pushforward_coh(f, beta, law)
-            if lhs != rhs:
-                return _mismatch(
-                    "f_!(f^*(alpha) * beta) = alpha * f_!(beta)", lhs, rhs, f=f, alpha=alpha, beta=beta
-                )
-    return None
+            inputs = {"f": f, "alpha": alpha, "beta": beta}
+            yield "f_!(f^*(alpha) * beta) = alpha * f_!(beta)", lhs, rhs, inputs
 
 
-def _check_first_projection(ctx: _Ctx):
+def _first_projection(ctx: _Ctx):
     space, law, ring, rng = ctx.space, ctx.law, ctx.ring, ctx.rng
     for f in _generators(space):
         for _ in range(ctx.samples):
@@ -363,14 +350,10 @@ def _check_first_projection(ctx: _Ctx):
             a = sample_hom(f.target, ring, rng)
             lhs = pushforward_hom(f, cap(alpha, shriek_hom(f, a, law)))
             rhs = cap(pushforward_coh(f, alpha, law), a)
-            if lhs != rhs:
-                return _mismatch(
-                    "f_*(alpha cap f^!(a)) = f_!(alpha) cap a", lhs, rhs, f=f, alpha=alpha, a=a
-                )
-    return None
+            yield "f_*(alpha cap f^!(a)) = f_!(alpha) cap a", lhs, rhs, {"f": f, "alpha": alpha, "a": a}
 
 
-def _check_second_projection(ctx: _Ctx):
+def _second_projection(ctx: _Ctx):
     space, law, ring, rng = ctx.space, ctx.law, ctx.ring, ctx.rng
     for T in (Space.point(), Space((1,))):
         for f in _generators(space):
@@ -380,33 +363,19 @@ def _check_second_projection(ctx: _Ctx):
                 a = sample_hom(f.target, ring, rng)
                 lhs = slant_l(alpha, shriek_hom(f, a, law))
                 rhs = slant_l(pushforward_coh(big, alpha, law), a)
-                if lhs != rhs:
-                    return _mismatch(
-                        "alpha / f^!(a) = (id_T x f)_!(alpha) / a",
-                        lhs,
-                        rhs,
-                        T=T,
-                        f=f,
-                        alpha=alpha,
-                        a=a,
-                    )
-    return None
+                inputs = {"T": T, "f": f, "alpha": alpha, "a": a}
+                yield "alpha / f^!(a) = (id_T x f)_!(alpha) / a", lhs, rhs, inputs
 
 
-def _check_transposition(ctx: _Ctx):
+def _transposition(ctx: _Ctx):
     space, law, ring, rng = ctx.space, ctx.law, ctx.ring, ctx.rng
     diag = full_diagonal(space)
     tau = transposition(space)
     K = diagonal_kernel_class(space, law)
     double = space.times(space)
-    if pushforward_coh(diag, CohClass.one(space, ring), law) != K:
-        return _mismatch(
-            "diagonal_!(1) equals the shuffled product of factor kernels",
-            pushforward_coh(diag, CohClass.one(space, ring), law),
-            K,
-        )
-    if tau.pullback(K) != K:
-        return _mismatch("tau^*(K) = K", tau.pullback(K), K)
+    lhs = pushforward_coh(diag, CohClass.one(space, ring), law)
+    yield "diagonal_!(1) equals the shuffled product of factor kernels", lhs, K, {}
+    yield "tau^*(K) = K", tau.pullback(K), K, {}
     k = space.nfactors
     p1 = Projection(double, tuple(range(k)))
     p2 = Projection(double, tuple(range(k, 2 * k)))
@@ -414,60 +383,37 @@ def _check_transposition(ctx: _Ctx):
         alpha = sample_class(space, ring, rng)
         da = pushforward_coh(diag, alpha, law)
         a = sample_hom(double, ring, rng)
-        lhs = cap(da, a)
-        rhs = cap(da, pushforward_hom(tau, a))
-        if lhs != rhs:
-            return _mismatch("diag_!(alpha) cap a = diag_!(alpha) cap tau_*(a)", lhs, rhs, alpha=alpha, a=a)
+        lhs, rhs = cap(da, a), cap(da, pushforward_hom(tau, a))
+        yield "diag_!(alpha) cap a = diag_!(alpha) cap tau_*(a)", lhs, rhs, {"alpha": alpha, "a": a}
         beta = sample_class(double, ring, rng)
-        lhs_c = da * beta
-        rhs_c = da * tau.pullback(beta)
-        if lhs_c != rhs_c:
-            return _mismatch("diag_!(alpha) * beta = diag_!(alpha) * tau^*(beta)", lhs_c, rhs_c, alpha=alpha, beta=beta)
-        lhs_k = p1.pullback(alpha) * K
-        rhs_k = p2.pullback(alpha) * K
-        if lhs_k != rhs_k:
-            return _mismatch("p1^*(alpha) * K = p2^*(alpha) * K", lhs_k, rhs_k, alpha=alpha)
-    return None
+        lhs, rhs = da * beta, da * tau.pullback(beta)
+        yield "diag_!(alpha) * beta = diag_!(alpha) * tau^*(beta)", lhs, rhs, {"alpha": alpha, "beta": beta}
+        lhs, rhs = p1.pullback(alpha) * K, p2.pullback(alpha) * K
+        yield "p1^*(alpha) * K = p2^*(alpha) * K", lhs, rhs, {"alpha": alpha}
 
 
-def _check_diagonal_counit(ctx: _Ctx):
-    space, law = ctx.space, ctx.law
-    K = diagonal_kernel_class(space, law)
-    lhs = slant_l(K, fundamental_class(space, law))
-    rhs = CohClass.one(space, ctx.ring)
-    if lhs != rhs:
-        return _mismatch("K_X / [X] = 1", lhs, rhs)
-    return None
+def _diagonal_counit(ctx: _Ctx):
+    lhs = slant_l(diagonal_kernel_class(ctx.space, ctx.law), fundamental_class(ctx.space, ctx.law))
+    yield "K_X / [X] = 1", lhs, CohClass.one(ctx.space, ctx.ring), {}
 
 
-def _check_poincare_roundtrip(ctx: _Ctx):
+def _poincare_roundtrip(ctx: _Ctx):
     space, law, ring, rng = ctx.space, ctx.law, ctx.ring, ctx.rng
     for e in basis(space):
         mono = CohClass.monomial(space, ring, e)
         back = duality_to_coh(duality_to_hom(mono, law), law)
-        if back != mono:
-            return _mismatch("D_coh(D_hom(z^e)) = z^e", back, mono, basis_elem=str(e))
+        yield "D_coh(D_hom(z^e)) = z^e", back, mono, {"basis_elem": e}
         delta = HomClass.delta(space, ring, e)
-        back_h = duality_to_hom(duality_to_coh(delta, law), law)
-        if back_h != delta:
-            return _mismatch("D_hom(D_coh(delta_e)) = delta_e", back_h, delta, basis_elem=str(e))
+        back = duality_to_hom(duality_to_coh(delta, law), law)
+        yield "D_hom(D_coh(delta_e)) = delta_e", back, delta, {"basis_elem": e}
     alpha = sample_class(space, ring, rng)
-    if duality_to_coh(duality_to_hom(alpha, law), law) != alpha:
-        return _mismatch(
-            "D_coh(D_hom(alpha)) = alpha",
-            duality_to_coh(duality_to_hom(alpha, law), law),
-            alpha,
-            alpha=alpha,
-        )
+    back = duality_to_coh(duality_to_hom(alpha, law), law)
+    yield "D_coh(D_hom(alpha)) = alpha", back, alpha, {"alpha": alpha}
     a = sample_hom(space, ring, rng)
-    if duality_to_hom(duality_to_coh(a, law), law) != a:
-        return _mismatch(
-            "D_hom(D_coh(a)) = a", duality_to_hom(duality_to_coh(a, law), law), a, a=a
-        )
-    return None
+    yield "D_hom(D_coh(a)) = a", duality_to_hom(duality_to_coh(a, law), law), a, {"a": a}
 
 
-def _check_duality_transport(ctx: _Ctx):
+def _duality_transport(ctx: _Ctx):
     space, law, ring = ctx.space, ctx.law, ctx.ring
     gens = [f for f in _generators(space) if isinstance(f, (Projection, LinearEmbed))]
     for f in gens:
@@ -475,22 +421,15 @@ def _check_duality_transport(ctx: _Ctx):
             mono = CohClass.monomial(f.source, ring, e)
             lhs = pushforward_coh(f, mono, law)
             rhs = duality_to_coh(pushforward_hom(f, duality_to_hom(mono, law)), law)
-            if lhs != rhs:
-                return _mismatch(
-                    "f_! = D_coh . f_* . D_hom", lhs, rhs, f=f, basis_elem=str(e)
-                )
+            yield "f_! = D_coh . f_* . D_hom", lhs, rhs, {"f": f, "basis_elem": e}
         for e in basis(f.target):
             delta = HomClass.delta(f.target, ring, e)
-            lhs_h = shriek_hom(f, delta, law)
-            rhs_h = duality_to_hom(f.pullback(duality_to_coh(delta, law)), law)
-            if lhs_h != rhs_h:
-                return _mismatch(
-                    "f^! = D_hom . f^* . D_coh", lhs_h, rhs_h, f=f, basis_elem=str(e)
-                )
-    return None
+            lhs = shriek_hom(f, delta, law)
+            rhs = duality_to_hom(f.pullback(duality_to_coh(delta, law)), law)
+            yield "f^! = D_hom . f^* . D_coh", lhs, rhs, {"f": f, "basis_elem": e}
 
 
-def _check_diag_recursion(ctx: _Ctx):
+def _diag_recursion(ctx: _Ctx):
     space, law, ring = ctx.space, ctx.law, ctx.ring
     for n in sorted(set(space.factors)):
         if n < 1:
@@ -500,48 +439,36 @@ def _check_diag_recursion(ctx: _Ctx):
         acc = ring.zero()
         for j in range(1, n + 1):
             acc = acc - C[n][j] * law.pn_class(n - j)
-        if g != acc:
-            return _mismatch("g_n = -sum_j a_nj g_(n-j)", g, acc, n=str(n))
+        yield "g_n = -sum_j a_nj g_(n-j)", g, acc, {"n": n}
         # the same recursion as operators via projections from space x P^k
-        ops_hom = []
-        ops_coh = []
-        for k in range(n + 1):
-            p = Projection(space.times(Space((k,))), tuple(range(space.nfactors)))
-            ops_hom.append(diamond_hom(p, law))
-            ops_coh.append(diamond_coh(p, law))
+        projs = [Projection(space.times(Space((k,))), tuple(range(space.nfactors))) for k in range(n + 1)]
+        ops_hom = [diamond_hom(p, law) for p in projs]
+        ops_coh = [diamond_coh(p, law) for p in projs]
         for e in basis(space):
-            a = HomClass.delta(space, ring, e)
-            lhs = ops_hom[n](a)
-            rhs = HomClass.zero(space, ring)
-            for j in range(1, n + 1):
-                rhs = rhs - ops_hom[n - j](a) * C[n][j]
-            if lhs != rhs:
-                return _mismatch(
-                    "p_n diamond = -sum_j a_nj p_(n-j) diamond (homology)", lhs, rhs, n=str(n), basis_elem=str(e)
-                )
-            mono = CohClass.monomial(space, ring, e)
-            lhs_c = ops_coh[n](mono)
-            rhs_c = CohClass.zero(space, ring)
-            for j in range(1, n + 1):
-                rhs_c = rhs_c - ops_coh[n - j](mono) * C[n][j]
-            if lhs_c != rhs_c:
-                return _mismatch(
-                    "p_n diamond = -sum_j a_nj p_(n-j) diamond (cohomology)", lhs_c, rhs_c, n=str(n), basis_elem=str(e)
-                )
-    return None
+            for label, ops, x in (
+                ("homology", ops_hom, HomClass.delta(space, ring, e)),
+                ("cohomology", ops_coh, CohClass.monomial(space, ring, e)),
+            ):
+                lhs = ops[n](x)
+                rhs = type(x).zero(space, ring)
+                for j in range(1, n + 1):
+                    rhs = rhs - ops[n - j](x) * C[n][j]
+                identity = "p_n diamond = -sum_j a_nj p_(n-j) diamond (%s)" % label
+                yield identity, lhs, rhs, {"n": n, "basis_elem": e}
 
 
-def _per_dimension(kind: str, witness, ctx: _Ctx):
+def _per_dimension(kind: str, stream, ctx: _Ctx):
     """V13 and V14, which read only the law and n: the first witness over
-    the factor dimensions n of the space, each kept in the law's memo."""
-    for n in sorted(set(ctx.space.factors)):
-        w = ctx.law.derived(kind, n, lambda: witness(ctx.law, n))
-        if w is not None:
-            return w
-    return None
+    the factor dimensions n of the space, each verdict kept in the law's
+    memo.  A verdict read from the memo evaluates no identity in this cell."""
+
+    def verdict(n):
+        return ctx.law.derived(kind, n, lambda: _first_failure(ctx, stream(ctx.law, n)))
+
+    return next(filter(None, map(verdict, sorted(set(ctx.space.factors)))), None)
 
 
-def _check_identity_decomposition(law: FGL, n: int):
+def _identity_decomposition(law: FGL, n: int):
     ring = law.ring
     pn = Space((n,))
     C = kernel(law, n).C
@@ -558,16 +485,12 @@ def _check_identity_decomposition(law: FGL, n: int):
                 if not C[i][j]:
                     continue
                 acc = acc + diamond_hom(projs[n - j], law)(si) * C[i][j]
-        if acc != a:
-            return _mismatch(
-                "id = sum_ij a_ij (p_1,n-j)diamond (s_i)diamond", acc, a, n=str(n), basis_elem=str(e)
-            )
-    return None
+        yield "id = sum_ij a_ij (p_1,n-j)diamond (s_i)diamond", acc, a, {"n": n, "basis_elem": e}
 
 
-def _check_diamond_squares(law: FGL, n: int):
+def _diamond_squares(law: FGL, n: int):
     if n < 1:
-        return None
+        return
     ring = law.ring
     pn = Space((n,))
     to_point = Projection(pn, ())
@@ -579,10 +502,8 @@ def _check_diamond_squares(law: FGL, n: int):
             g_dia = diamond_hom(g, law)
             top = LinearEmbed(Space((n, n - j)), 0, n - i)
             left = Projection(Space((n - i, n - j)), (0,))
-            h1 = compose(g, left)
-            h2 = compose(f, top)
-            h1_dia = diamond_hom(h1, law)
-            h2_dia = diamond_hom(h2, law)
+            h1_dia = diamond_hom(compose(g, left), law)
+            h2_dia = diamond_hom(compose(f, top), law)
             for e in basis(pn):
                 a = HomClass.delta(pn, ring, e)
                 want = f_dia(g_dia(a))
@@ -591,48 +512,35 @@ def _check_diamond_squares(law: FGL, n: int):
                     ("h diamond (via top-right)", h2_dia(a)),
                     ("g diamond then f diamond", g_dia(f_dia(a))),
                 ):
-                    if got != want:
-                        return _mismatch("transversal square: %s = f diamond then g diamond" % label,
-                                         got, want, n=str(n), i=str(i), j=str(j), basis_elem=str(e))
+                    identity = "transversal square: %s = f diamond then g diamond" % label
+                    yield identity, got, want, {"n": n, "i": i, "j": j, "basis_elem": e}
         # base-change square: push to the point commutes with diamonds
         down_nj_dia = diamond_hom(Projection(Space((n - j,)), ()), law)
         for e in basis(pn):
             a = HomClass.delta(pn, ring, e)
             lhs = pushforward_hom(to_point, f_dia(a))
             rhs = down_nj_dia(pushforward_hom(to_point, a))
-            if lhs != rhs:
-                return _mismatch("p_* of a projection diamond = diamond of p_*", lhs, rhs,
-                                 n=str(n), j=str(j), basis_elem=str(e))
+            yield "p_* of a projection diamond = diamond of p_*", lhs, rhs, {"n": n, "j": j, "basis_elem": e}
     for i in range(n + 1):
-        g = LinearEmbed(pn, 0, n - i)
-        g_dia = diamond_hom(g, law)
+        g_dia = diamond_hom(LinearEmbed(pn, 0, n - i), law)
         for e in basis(pn):
             a = HomClass.delta(pn, ring, e)
             lhs = pushforward_hom(to_point, g_dia(a))
-            rhs = psi(i, to_point, a)
-            if lhs != rhs:
-                return _mismatch(
-                    "p_* s_i diamond = psi_i", lhs, rhs, n=str(n), i=str(i), basis_elem=str(e)
-                )
-    return None
+            yield "p_* s_i diamond = psi_i", lhs, psi(i, to_point, a), {"n": n, "i": i, "basis_elem": e}
 
 
-def _check_up_then_down(ctx: _Ctx):
+def _up_then_down(ctx: _Ctx):
     space, law, ring, rng = ctx.space, ctx.law, ctx.ring, ctx.rng
     for t in range(space.nfactors):
         p = Projection(space, tuple(s for s in range(space.nfactors) if s != t))
         p1 = pushforward_coh(p, CohClass.one(space, ring), law)
-        for a in [HomClass.delta(p.target, ring, e) for e in basis(p.target)] + [
-            sample_hom(p.target, ring, rng)
-        ]:
-            lhs = pushforward_hom(p, shriek_hom(p, a, law))
-            rhs = cap(p1, a)
-            if lhs != rhs:
-                return _mismatch("p_*(p^!(a)) = p_!(1) cap a", lhs, rhs, p=p, a=a)
-    return None
+        deltas = [HomClass.delta(p.target, ring, e) for e in basis(p.target)]
+        for a in deltas + [sample_hom(p.target, ring, rng)]:
+            lhs, rhs = pushforward_hom(p, shriek_hom(p, a, law)), cap(p1, a)
+            yield "p_*(p^!(a)) = p_!(1) cap a", lhs, rhs, {"p": p, "a": a}
 
 
-def _check_product_calculus(ctx: _Ctx):
+def _product_calculus(ctx: _Ctx):
     space, law, ring, rng = ctx.space, ctx.law, ctx.ring, ctx.rng
     X, Y = space, Space((1,))
     XY = X.times(Y)
@@ -644,24 +552,17 @@ def _check_product_calculus(ctx: _Ctx):
         beta = sample_class(Y, ring, rng)
         a = sample_hom(Y, ring, rng)
         b = sample_hom(X, ring, rng)
-        lhs = slant_l(alpha, cap(beta, a))
-        rhs = slant_l(alpha * pY.pullback(beta), a)
-        if lhs != rhs:
-            return _mismatch("alpha / (beta cap a) = (alpha * pY^*(beta)) / a", lhs, rhs, alpha=alpha, beta=beta, a=a)
+        lhs, rhs = slant_l(alpha, cap(beta, a)), slant_l(alpha * pY.pullback(beta), a)
+        inputs = {"alpha": alpha, "beta": beta, "a": a}
+        yield "alpha / (beta cap a) = (alpha * pY^*(beta)) / a", lhs, rhs, inputs
         gamma = sample_class(X, ring, rng)
-        lhs2 = gamma * slant_l(alpha, a)
-        rhs2 = slant_l(pX.pullback(gamma) * alpha, a)
-        if lhs2 != rhs2:
-            return _mismatch("gamma * (alpha / a) = (pX^*(gamma) * alpha) / a", lhs2, rhs2, alpha=alpha, gamma=gamma, a=a)
-        lhs3 = cap(slant_l(alpha, a), b)
-        rhs3 = pushforward_hom(pX, cap(alpha, cross_hom(b, a)))
-        if lhs3 != rhs3:
-            return _mismatch("(alpha / a) cap b = pX_*(alpha cap (b x a))", lhs3, rhs3, alpha=alpha, a=a, b=b)
+        lhs, rhs = gamma * slant_l(alpha, a), slant_l(pX.pullback(gamma) * alpha, a)
+        inputs = {"alpha": alpha, "gamma": gamma, "a": a}
+        yield "gamma * (alpha / a) = (pX^*(gamma) * alpha) / a", lhs, rhs, inputs
+        lhs, rhs = cap(slant_l(alpha, a), b), pushforward_hom(pX, cap(alpha, cross_hom(b, a)))
+        yield "(alpha / a) cap b = pX_*(alpha cap (b x a))", lhs, rhs, {"alpha": alpha, "a": a, "b": b}
         bb = sample_hom(XY, ring, rng)
-        lhs4 = slant_r(CohClass.one(X, ring), bb)
-        rhs4 = pushforward_hom(pY, bb)
-        if lhs4 != rhs4:
-            return _mismatch("1 \\ b = pY_*(b)", lhs4, rhs4, b=bb)
+        yield "1 \\ b = pY_*(b)", slant_r(CohClass.one(X, ring), bb), pushforward_hom(pY, bb), {"b": bb}
     # slant functoriality along a pair of embeddings
     if X.nfactors >= 1 and X.factors[0] >= 1:
         f = LinearEmbed(X, 0, X.factors[0] - 1)
@@ -672,38 +573,33 @@ def _check_product_calculus(ctx: _Ctx):
     for _ in range(ctx.samples):
         alpha = sample_class(X.times(Space((2,))), ring, rng)
         a = sample_hom(Space((1,)), ring, rng)
-        lhs = slant_l(fg.pullback(alpha), a)
-        rhs = f.pullback(slant_l(alpha, pushforward_hom(g, a)))
-        if lhs != rhs:
-            return _mismatch("(f x g)^*(alpha) / a = f^*(alpha / g_*(a))", lhs, rhs, alpha=alpha, a=a)
+        lhs, rhs = slant_l(fg.pullback(alpha), a), f.pullback(slant_l(alpha, pushforward_hom(g, a)))
+        yield "(f x g)^*(alpha) / a = f^*(alpha / g_*(a))", lhs, rhs, {"alpha": alpha, "a": a}
     # module functoriality per generator
     for h in _generators(space):
         alpha = sample_class(h.target, ring, rng)
         a = sample_hom(h.source, ring, rng)
-        lhs = cap(alpha, pushforward_hom(h, a))
-        rhs = pushforward_hom(h, cap(h.pullback(alpha), a))
-        if lhs != rhs:
-            return _mismatch("alpha cap h_*(a) = h_*(h^*(alpha) cap a)", lhs, rhs, h=h, alpha=alpha, a=a)
-    return None
+        lhs, rhs = cap(alpha, pushforward_hom(h, a)), pushforward_hom(h, cap(h.pullback(alpha), a))
+        yield "alpha cap h_*(a) = h_*(h^*(alpha) cap a)", lhs, rhs, {"h": h, "alpha": alpha, "a": a}
 
 
 CHECKS: tuple = (
     ("V1-fgl-axioms", _check_fgl_axioms),
-    ("V2-orientation", _check_orientation),
-    ("V3-pbt-roundtrip", _check_pbt),
-    ("V4-divisor-normalization", _check_divisor_normalization),
-    ("V5-coh-projection", _check_coh_projection),
-    ("V6-first-projection", _check_first_projection),
-    ("V7-second-projection", _check_second_projection),
-    ("V8-transposition", _check_transposition),
-    ("V9-diagonal-counit", _check_diagonal_counit),
-    ("V10-poincare-roundtrip", _check_poincare_roundtrip),
-    ("V11-duality-transport", _check_duality_transport),
-    ("V12-projection-recursion", _check_diag_recursion),
-    ("V13-identity-decomposition", partial(_per_dimension, "v13", _check_identity_decomposition)),
-    ("V14-diamond-squares", partial(_per_dimension, "v14", _check_diamond_squares)),
-    ("V15-up-then-down", _check_up_then_down),
-    ("V16-product-calculus", _check_product_calculus),
+    ("V2-orientation", _cell(_orientation)),
+    ("V3-pbt-roundtrip", _cell(_pbt)),
+    ("V4-divisor-normalization", _cell(_divisor_normalization)),
+    ("V5-coh-projection", _cell(_coh_projection)),
+    ("V6-first-projection", _cell(_first_projection)),
+    ("V7-second-projection", _cell(_second_projection)),
+    ("V8-transposition", _cell(_transposition)),
+    ("V9-diagonal-counit", _cell(_diagonal_counit)),
+    ("V10-poincare-roundtrip", _cell(_poincare_roundtrip)),
+    ("V11-duality-transport", _cell(_duality_transport)),
+    ("V12-projection-recursion", _cell(_diag_recursion)),
+    ("V13-identity-decomposition", partial(_per_dimension, "v13", _identity_decomposition)),
+    ("V14-diamond-squares", partial(_per_dimension, "v14", _diamond_squares)),
+    ("V15-up-then-down", _cell(_up_then_down)),
+    ("V16-product-calculus", _cell(_product_calculus)),
 )
 
 CHECK_IDS = tuple(cid for cid, _ in CHECKS)
@@ -740,7 +636,7 @@ def run_suite(cfg: CheckConfig, laws: dict | None = None, checks=None) -> list[C
                 except CalculatorError as exc:
                     witness = {"error": "%s: %s" % (type(exc).__name__, exc)}
                 status = "pass" if witness is None else "fail"
-                reports.append(CheckReport(cid, kind.value, space.render(), status, witness))
+                reports.append(CheckReport(cid, kind.value, space.render(), status, witness, ctx.identities))
     return reports
 
 

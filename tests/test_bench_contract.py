@@ -4,6 +4,9 @@
 their own class's ``__dict__``.  A traced method that moves into a base
 class, or a traced function that is renamed, makes ``Tracer().install()``
 fail; this test catches that on every Python version the suite runs on.
+The tracer also wraps each ``verify.CHECKS`` entry in a span and sets the
+cell's op id around the call, so an entry must run its whole check inside
+that call: the spans of the work must carry the cell's op id.
 """
 
 import os
@@ -24,6 +27,12 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert code == 0, code
 for name in ("spaces.coh_mul", "spaces.pullback", "homodual.cap", "fgl.apply_law"):
     assert tracer.stats.get(name, [0])[0] > 0, name
+# each check runs inside its own call, so the work it does carries its cell's op id
+ops = {(name, op) for _sid, name, _t0, _t1, _parent, op in tracer.spans}
+for name in ("gysin.pushforward_coh", "homodual.cap"):
+    assert (name, "V6-first-projection|multiplicative|P1xP1") in ops, name
+for number in range(1, 17):
+    assert tracer.stats.get("verify.V%d" % number, [0])[0] > 0, number
 """
 
 
