@@ -148,15 +148,17 @@ def _write(args, payload: str) -> None:
 def _emit(args, result) -> None:
     """Write a class in the requested format; only that form is built, and
     it renders each distinct coefficient once (``_rendered_terms``).  The
-    JSON form is written term by term, one ``json.dumps`` per distinct
-    string, and equals ``json.dumps({"space": ..., **result.to_json_obj()},
-    indent=2)`` byte for byte."""
+    JSON form is one ``%`` per term against a template built once, one
+    ``json.dumps`` per distinct string, and equals ``json.dumps({"space":
+    ..., **result.to_json_obj()}, indent=2)`` byte for byte."""
     if args.format == "json":
         items, quoted = [], {}
+        k = result.space.nfactors
+        zeta = "[\n%s\n      ]" % ",\n".join(["        %d"] * k) if k else "[]"
+        item = '    {\n      "zeta": %s,\n      "coeff": %%s\n    }' % zeta
         for e, text in result._rendered_terms():
-            zeta = "[\n%s\n      ]" % ",\n".join("        %d" % x for x in e) if e else "[]"
             coeff = quoted.get(text) or quoted.setdefault(text, json.dumps(text))
-            items.append('    {\n      "zeta": %s,\n      "coeff": %s\n    }' % (zeta, coeff))
+            items.append(item % (e + (coeff,)))
         body = "[\n%s\n  ]" % ",\n".join(items) if items else "[]"
         payload = '{\n  "space": %s,\n  "%s": %s\n}' % (json.dumps(result.space.render()), result._JSON_KEY, body)
     else:

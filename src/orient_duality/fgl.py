@@ -24,15 +24,14 @@ composition, reversion and evaluation on nilpotent arguments.  Every
 stored coefficient is exact.  All data derived from a law, its table
 included, is kept in one memo behind ``FGL.derived``.
 
-The logarithm of a law is solved degree by degree from the invariant
-differential, the linear-in-y slot of log(F(x, y)) = log(x) + log(y), and
-then checked against the full identity at full precision, once per law; a
-table of coefficients that does not come from an actual group law fails
-that check loudly instead of producing plausible garbage.  Over a
-Q-algebra the identity gives F = exp(log(x) + log(y)), so F is associative.
-The formal inverse and the reversion behind ``exp`` are solved at growing
-precision (Knuth, TAOCP Vol. 2, 4.7): round d evaluates on operands cut to
-P^d, and one last evaluation at full precision is the check.
+The logarithm of a law is solved from the invariant differential,
+log'(u) = 1/F_y(u, 0), and log(F(x, y)) = log(x) + log(y) is then proved
+at full precision through its y-derivative, once per law; a table that
+does not come from an actual group law fails loudly instead of producing
+plausible garbage.  Over a Q-algebra the identity gives F = exp(log(x) +
+log(y)), so F is associative.  The formal inverse and the reversion behind
+``exp`` share one solver over a table of the powers of the unknown series;
+one evaluation at full precision is the check.
 
 ``pn_class(F, n)`` is the direct image of 1 under the projection from
 n-dimensional projective space to the point, read off the logarithm:
@@ -112,10 +111,6 @@ class Series(NilPoly):
     def __getitem__(self, d: int) -> RingElem:
         return self.coeff((d,))
 
-    def cut(self, p: int) -> "Series":
-        """self mod x^(p+1), a series on P^p."""
-        return Series(Space((p,)), self.ring, self.terms)
-
     def __repr__(self) -> str:
         return "Series(ring=%r, trunc=%r, coeffs=%r)" % (self.ring, self.trunc, self.coeffs)
 
@@ -135,10 +130,10 @@ class Series(NilPoly):
         lin = self[1]
         if lin != ring.one() and lin != -ring.one():
             raise ValueError("reversion needs linear coefficient +-1")
-        unit = 1 if lin == ring.one() else -1
-        return _solve_by_degree(Series.identity(ring, self.trunc) * unit,
-                                lambda rev, p: self.cut(p).compose(rev) - Series.identity(ring, p),
-                                unit, "series reversion failed to verify")
+        g = {(0, d): c for (d,), c in self.terms.items()} | {(1, 0): -ring.one()}  # self(rev) - x = 0
+        x = Series.identity(ring, self.trunc)
+        return _solve_by_degree(g, self.trunc, lambda rev: self.compose(rev) - x,
+                                "series reversion failed to verify")
 
     def eval_nilpotent(self, arg):
         """sum(s[d] * arg^d, d >= 1) for a nilpotent argument.
@@ -155,27 +150,29 @@ class Series(NilPoly):
 def unit_reciprocal(ring: CoeffRing, u: list) -> list:
     """The coefficients of 1/u(x) mod x^len(u) for u = sum u_i x^i with
     u_0 = 1, with no division: v_0 = 1, v_m = -sum_(1<=i<=m) u_i v_(m-i)."""
+    nonzero = [i for i in range(1, len(u)) if u[i]]
     v = [ring.one()]
     for m in range(1, len(u)):
-        v.append(-sum((u[i] * v[m - i] for i in range(1, m + 1)), ring.zero()))
+        v.append(-sum((u[i] * v[m - i] for i in nonzero if i <= m), ring.zero()))
     return v
 
 
 def _power_sum(s: Series, arg, out):
     """out + sum(s[d] * arg^d, 1 <= d <= s.trunc), the one evaluation loop
-    behind ``compose``, ``eval_nilpotent`` and ``_series_on_nilpoly``, for
-    classes ``out`` and ``arg`` of one kind.
+    behind ``compose``, ``eval_nilpotent``, ``_series_on_nilpoly`` and the
+    log check, for classes ``out`` and ``arg`` of one kind.
 
-    It stops at the first power of ``arg`` that vanishes, so an argument
-    without constant term inside a truncated or nilpotent algebra costs no
-    product past its last nonzero power.  Each tuple's terms s[d] * p sum
-    into one raw ring-key map through ``fused_mul``, wrapped once at the end.
+    It stops at the last nonzero s[d], and at the first power of ``arg``
+    that vanishes, so a short series, or an argument without constant term
+    in a truncated or nilpotent algebra, costs no product past the last
+    power that counts.  Each tuple's terms s[d] * p sum into one raw
+    ring-key map through ``fused_mul``, wrapped once at the end.
     """
     if arg.ring != s.ring:
         raise RingMismatchError("series and argument over different coefficient rings")
     sums = defaultdict(dict, {e: dict(c._t) for e, c in out.terms.items()})
     power = None
-    for d in range(1, s.trunc + 1):
+    for d in range(1, max(s.terms, default=(0,))[0] + 1):
         power = arg if power is None else power * arg
         if not power:
             break
@@ -338,10 +335,10 @@ class FGL:
         A law given by its table solves it from the invariant differential:
         the linear-in-y part of the identity is log'(x) * F_y(x, 0) = 1 with
         F_y(x, 0) = 1 + sum a(i,1) x^i, so log'(x) = 1/F_y(x, 0)
-        (``unit_reciprocal``).  The result is then
-        verified against the full identity at full precision, which gives
-        F = exp(log(x) + log(y)) and so associativity; a law given by its
-        logarithm runs that check when it expands its table.
+        (``unit_reciprocal``).  The full identity is then proved at full
+        precision (``_validate_log``), which gives F = exp(log(x) + log(y))
+        and so associativity; a law given by its logarithm runs that check
+        when it expands its table.
         """
         return self.derived("log", None, self._solve_log)
 
@@ -354,16 +351,32 @@ class FGL:
         return log
 
     def _validate_log(self, log: Series, table_law: "FGL | None" = None):
-        """Check log(F(x, y)) = log(x) + log(y) at full precision, once per
-        law; it gives F = exp(log(x) + log(y)), so F is associative.
-        ``table_law`` evaluates F while this law's table is being built."""
+        """Check log(F(x, y)) = log(x) + log(y) mod total degree N + 1, once
+        per law; it gives F = exp(log(x) + log(y)), so F is associative.
+        ``table_law`` evaluates F while this law's table is being built.
+
+        The check runs on the y-derivative.  With G(u) = F_y(u, 0) = 1 + sum
+        a(i,1) u^i, the identity holds iff (A) log'(u) G(u) = 1 mod u^N and
+        (B) F_y(x, y) G(y) = G(F(x, y)) mod total degree N.  Let P = log F -
+        log x - log y.  At y = 0, dP/dy = log'(x) G(x) - 1 (log = x + O(x^2)),
+        which is (A); given (A), dP/dy = (F_y G(y) - G(F)) / (G(F) G(y)) mod
+        degree N, which vanishes iff (B).  Back, P(x, 0) = 0 as F(x, 0) = x
+        (a table has i, j >= 1), and as the rings are torsion-free, dP/dy = 0
+        mod degree N gives P = 0 mod degree N + 1.  (B) forms no power of F
+        past G's degree: the multiplicative G = 1 - beta*u needs none."""
 
         def check():
-            n = self.truncation
-            x = NilPoly.gen(self.ring, 2, n, 0)
-            y = NilPoly.gen(self.ring, 2, n, 1)
-            lhs = _series_on_nilpoly(log, apply_law(table_law or self, x, y))
-            if lhs != NilPoly.from_series(log, 2, n, 0) + NilPoly.from_series(log, 2, n, 1):
+            if log[0]:
+                raise ValueError("expected zero constant term")
+            law, ring, n = table_law or self, self.ring, self.truncation
+            g = Series.make(ring, n - 1, [1] + [law.a(i, 1) for i in range(1, n)])
+            dlog = Series.make(ring, n - 1, [log[k] * k for k in range(1, n + 1)])
+            x, y = (NilPoly.gen(ring, 2, n - 1, t) for t in (0, 1))
+            one = NilPoly.monomial(x.space, ring, (0, 0))
+            f_y = one + NilPoly(x.space, ring, {(i, j - 1): c * j for (i, j), c in law.coeffs.items()})
+            if dlog * g != Series.make(ring, n - 1, [1]) or (
+                f_y * NilPoly.from_series(g, 2, n - 1, 1) != _power_sum(g, apply_law(law, x, y), one)
+            ):
                 raise InternalConsistencyError(
                     "coefficient table admits no logarithm: log(F(x,y)) != log(x) + log(y)"
                 )
@@ -398,23 +411,45 @@ class FGL:
 
 
 def _solve_inverse(F: FGL) -> Series:
-    return _solve_by_degree(-F.x_series(), lambda inv, p: apply_law(F, Series.identity(F.ring, p), inv),
-                            1, "formal inverse failed to verify")
+    one, x = F.ring.one(), F.x_series()  # iota solves F(x, iota) = 0
+    return _solve_by_degree({**F.coeffs, (1, 0): one, (0, 1): one}, F.truncation,
+                            lambda inv: apply_law(F, x, inv), "formal inverse failed to verify")
 
 
-def _solve_by_degree(s: Series, defect, unit: int, failure: str) -> Series:
-    """The series s + O(x^2) with defect(s, N) = 0, where adding c x^d to s
-    (d >= 2) adds unit * c x^d + O(x^(d+1)) to the defect.  No series here
-    has a constant term, so round d reads only s mod x^(d+1): it evaluates
-    ``defect(s, d)`` on operands cut to P^d and cancels the coefficient of
-    x^d.  The last evaluation, at full precision, is the check."""
-    for d in range(2, s.trunc + 1):
-        c = defect(s.cut(d), d)[d]
-        if c:
-            s = s + Series.monomial(s.space, s.ring, (d,), c * -unit)
-    if defect(s, s.trunc):
+def _solve_by_degree(g: dict, trunc: int, defect, failure: str) -> Series:
+    """The series s = sum s_d x^d, d >= 1, with sum g_ij x^i s^j = 0 mod
+    x^(trunc+1), for g = {(i, j): g_ij} with g_00 = 0 and g_01 = +-1.  With
+    T[j][m] = [x^m] s^j, which reads only s_1 .. s_(m-j+1) for j >= 2, the
+    coefficient of x^d is g_01 s_d + sum g_ij T[j][d-i] over the other
+    (i, j): round d extends each row T[j] by T[j][d] = sum s_m T[j-1][d-m]
+    and solves for s_d, about N^3/6 ring products in all.  The one
+    evaluation at full precision, ``defect(s)``, is the check: a nonzero
+    defect raises ``failure``."""
+    ring = g[(0, 1)].ring
+    order = sorted if ring._limit is not None else list  # for the early stop of fused_mul
+    rest = [(i, j, c) for (i, j), c in g.items() if (i, j) != (0, 1) and c]
+    top = max([1] + [j for _, j, _ in rest])
+    rows = [[order(ring.one()._t.items())] + [()] * trunc] + [[()] * (trunc + 1) for _ in range(top)]
+    s = [ring.zero()]
+    for d in range(1, trunc + 1):
+        accs = {j: {} for j in range(2, min(top, d) + 1)}
+        for j, acc in accs.items():
+            prev = rows[j - 1]
+            for m in range(1, d - j + 2):
+                fused_mul(acc, s[m], prev[d - m])
+        for j, t in wrap_sums(ring, accs).items():
+            rows[j][d] = order(t._t.items())
+        acc = {}
+        for i, j, c in rest:
+            if i <= d:
+                fused_mul(acc, c, rows[j][d - i])
+        c = wrap_sums(ring, {0: acc})[0]
+        s.append(-c if g[(0, 1)] == ring.one() else c)  # s_d = -c / g_01
+        rows[1][d] = order(s[d]._t.items())
+    out = Series._trusted(Space((trunc,)), ring, {(d,): c for d, c in enumerate(s)})
+    if defect(out):
         raise InternalConsistencyError(failure)
-    return s
+    return out
 
 
 def _series_on_nilpoly(s: Series, arg: NilPoly) -> NilPoly:
@@ -470,9 +505,10 @@ def check_axioms(F: FGL) -> str | None:
     The shape first: index range, symmetry and degrees.  Then the formal
     inverse from the table (F(x, iota) = 0) must equal the one from the
     logarithm (exp(-log x)).  Last, the law's own logarithm must satisfy
-    log(F(x, y)) = log(x) + log(y), which catches a stale one; as log is
-    invertible this gives F = exp(log(x) + log(y)), so F is associative
-    with no 3-variable expansion.
+    log(F(x, y)) = log(x) + log(y), which catches a stale one; it is proved
+    through its y-derivative, sound once the shape holds (``_validate_log``:
+    i, j >= 1).  As log is invertible this gives F = exp(log(x) + log(y)),
+    so F is associative with no 3-variable expansion.
     """
     return F.derived("axioms", None, lambda: _axiom_witness(F))
 

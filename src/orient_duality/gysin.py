@@ -166,7 +166,7 @@ def _diagonal_class(space: Space, law: FGL) -> CohClass:
         for n, m in zip(space.factors, s):
             uvs = [(u + (i,), v + (n + m - i,)) for u, v in uvs for i in range(m, n + 1)]
         terms.update(dict.fromkeys([u + v for u, v in uvs], p))
-    return CohClass(space.times(space), law.ring, terms)
+    return CohClass._trusted(space.times(space), law.ring, terms)  # in range by construction
 
 
 def fundamental_class(space: Space, law: FGL) -> HomClass:

@@ -404,8 +404,10 @@ class SparseClass:
     # -- rendering -------------------------------------------------------
 
     def _sorted_terms(self):
-        """Terms by degree, then exponents in decreasing lexicographic order."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))
+        """Terms by degree, then exponents in decreasing lexicographic order:
+        the tuples in reverse order, then a stable sort by degree, both in C."""
+        expos = sorted(sorted(self.terms, reverse=True), key=sum)
+        return [(e, self.terms[e]) for e in expos]
 
     def _rendered_terms(self):
         """(tuple, coefficient text) in ``_sorted_terms`` order, each element

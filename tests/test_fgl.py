@@ -626,27 +626,29 @@ def test_degree_solver_reports_a_defect_it_cannot_cancel(monkeypatch):
 
 
 def test_degree_solver_checks_at_full_precision():
-    """Round d evaluates on operands cut to P^d; the last evaluation runs at
-    full precision and is the check: a defect that is right at every cut
-    precision and wrong only at full precision must raise."""
+    """The rounds read a table of the powers of the unknown and evaluate
+    nothing; the one evaluation at full precision is the check: rounds that
+    solve correctly, followed by a defect that is wrong at full precision,
+    must raise the caller's text."""
     from orient_duality.fgl import _solve_by_degree
 
     ring = CoeffRing.multiplicative(5)
     beta = ring.gen(0)
     s = Series.make(ring, 5, [0, 1, beta, 0, 3])
+    g = {(0, d): c for (d,), c in s.terms.items()}  # s(rev) - x = 0
+    g[(1, 0)] = -ring.one()
     calls = []
 
-    def defect(rev, p):
-        calls.append((p, rev.trunc))
-        return s.cut(p).compose(rev) - Series.identity(ring, p)
+    def defect(rev):
+        calls.append(rev.trunc)
+        return s.compose(rev) - Series.identity(ring, 5)
 
-    rev = _solve_by_degree(Series.identity(ring, 5), defect, 1, "no reversion")
+    rev = _solve_by_degree(g, 5, defect, "no reversion")
     assert rev == s.reversion() and s.compose(rev) == Series.identity(ring, 5)
-    assert calls == [(2, 2), (3, 3), (4, 4), (5, 5), (5, 5)]
+    assert calls == [5]
 
-    def wrong_at_full(rev, p):
-        err = defect(rev, p)
-        return err + Series.make(ring, p, [0, 0, beta]) if p == s.trunc else err
+    def wrong_at_full(rev):
+        return defect(rev) + Series.make(ring, 5, [0, 0, beta])
 
     with pytest.raises(InternalConsistencyError, match="^no reversion$"):
-        _solve_by_degree(Series.identity(ring, 5), wrong_at_full, 1, "no reversion")
+        _solve_by_degree(g, 5, wrong_at_full, "no reversion")
