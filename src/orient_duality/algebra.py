@@ -86,6 +86,10 @@ class CoeffRing:
       the key is its own weight), so a key's degree is ``-(key // _top)``;
     * ``_limit``: (N + 1)*R^n, the smallest key dropped by truncation, or
       None where nothing is truncated;
+    * ``operand_order``: the function that turns a right operand's
+      ``_t.items()`` into the pairs ``fused_mul`` reads, taken once per
+      call: ``sorted`` where the ring truncates (the early stop needs
+      ascending keys), else ``list``;
     * ``_render_memo``: this instance's own render memo, outside ``==`` and ``hash``.
     """
 
@@ -96,6 +100,7 @@ class CoeffRing:
     _radix: int | None = field(init=False, repr=False, compare=False)
     _top: int = field(init=False, repr=False, compare=False)
     _limit: int | None = field(init=False, repr=False, compare=False)
+    operand_order: object = field(init=False, repr=False, compare=False)
     _render_memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -117,6 +122,7 @@ class CoeffRing:
         object.__setattr__(self, "_radix", radix)
         object.__setattr__(self, "_top", top)
         object.__setattr__(self, "_limit", limit)
+        object.__setattr__(self, "operand_order", list if limit is None else sorted)
         object.__setattr__(self, "_render_memo", {})
 
     @staticmethod
@@ -230,10 +236,10 @@ def _wrap(ring: CoeffRing, packed: dict) -> "RingElem":
 
 def fused_mul(acc: dict, c: "RingElem", d_items) -> None:
     """Add the key map of c * d into the raw map ``acc``, the one loop of
-    coefficient products.  ``d_items`` are d's (key, coefficient) pairs, in
-    ascending key order where the ring truncates: the loop stops at the
-    first pair whose key sum reaches ``CoeffRing._limit`` (None truncates
-    nothing, and then any order will do)."""
+    coefficient products.  ``d_items`` are d's (key, coefficient) pairs in
+    ``CoeffRing.operand_order``, ascending where the ring truncates: the
+    loop stops at the first pair whose key sum reaches ``CoeffRing._limit``
+    (None truncates nothing, and then any order will do)."""
     limit = c.ring._limit or inf
     for k1, c1 in c._t.items():
         room = limit - k1
@@ -362,7 +368,7 @@ class RingElem:
             other = self.ring.from_coeff(other)
         self._check_ring(other)
         terms: dict = {}
-        fused_mul(terms, self, sorted(other._t.items()))
+        fused_mul(terms, self, self.ring.operand_order(other._t.items()))
         return _wrap(self.ring, _canonical(terms))
 
     __rmul__ = __mul__

@@ -171,14 +171,14 @@ def _power_sum(s: Series, arg, out):
     if arg.ring != s.ring:
         raise RingMismatchError("series and argument over different coefficient rings")
     sums = defaultdict(dict, {e: dict(c._t) for e, c in out.terms.items()})
-    power = None
+    power, order = None, s.ring.operand_order
     for d in range(1, max(s.terms, default=(0,))[0] + 1):
         power = arg if power is None else power * arg
         if not power:
             break
         c = s[d]
         if c:
-            items = sorted(c._t.items())
+            items = order(c._t.items())
             for e, p in power.terms.items():
                 fused_mul(sums[e], p, items)
     return out._like(wrap_sums(out.ring, sums))
@@ -190,22 +190,25 @@ def apply_law(F: "FGL", p, q):
     Works uniformly on Series, NilPoly and cohomology classes: anything
     with +, * and truthiness.  Exactness is the caller's
     responsibility (arguments must be nilpotent within the truncation).
+    A table key with i < 1 or j < 1 raises ValueError before any power
+    is formed.
     """
+    table = sorted(F.coeffs.items())
+    bad = [key for key, _ in table if min(key) < 1]
+    if bad:
+        raise ValueError("law coefficient a(%d,%d) has an index below 1" % bad[0])
     out = p + q
-    p_pows: dict = {}
-    q_pows: dict = {}
-
-    def power(base, cache, n):
-        # base^n = base^(n-1) * base, so each power costs one product
-        if n not in cache:
-            cache[n] = base if n == 1 else power(base, cache, n - 1) * base
-        return cache[n]
-
-    for (i, j), a in sorted(F.coeffs.items()):
-        pi = power(p, p_pows, i)
+    # p_pows[n - 1] = p^n = p^(n-1) * p, so each power costs one product
+    p_pows, q_pows = [p], [q]
+    for (i, j), a in table:
+        while len(p_pows) < i:
+            p_pows.append(p_pows[-1] * p)
+        pi = p_pows[i - 1]
         if not pi:
             continue
-        qj = power(q, q_pows, j)
+        while len(q_pows) < j:
+            q_pows.append(q_pows[-1] * q)
+        qj = q_pows[j - 1]
         if not qj:
             continue
         t = pi * qj
@@ -426,7 +429,7 @@ def _solve_by_degree(g: dict, trunc: int, defect, failure: str) -> Series:
     evaluation at full precision, ``defect(s)``, is the check: a nonzero
     defect raises ``failure``."""
     ring = g[(0, 1)].ring
-    order = sorted if ring._limit is not None else list  # for the early stop of fused_mul
+    order = ring.operand_order
     rest = [(i, j, c) for (i, j), c in g.items() if (i, j) != (0, 1) and c]
     top = max([1] + [j for _, j, _ in rest])
     rows = [[order(ring.one()._t.items())] + [()] * trunc] + [[()] * (trunc + 1) for _ in range(top)]

@@ -62,8 +62,8 @@ class GysinKernel:
     ``C`` is the two-sided inverse of the pairing matrix g_(n-k-l),
     ``C[i][j] = [x^(i+j-n)] 1/(g_0 + ... + g_n x^n)``, and
     ``K = sum C[i][j] z1^i z2^j`` the diagonal class on P^n x P^n.
-    ``cols[j]`` holds the items ``(i, sorted(C[i][j]._t.items()))`` of column
-    j's nonzero entries, in the key order ``algebra.fused_mul`` reads.
+    ``cols[j]`` holds the items ``(i, ring.operand_order(C[i][j]._t.items()))``
+    of column j's nonzero entries, the pairs ``algebra.fused_mul`` reads.
     """
 
     n: int
@@ -86,7 +86,8 @@ def _solve_kernel(law: FGL, n: int) -> GysinKernel:
     C = tuple(tuple(h[i + j] for j in range(n + 1)) for i in range(n + 1))  # h_(i+j-n)
     square = Space((n, n))
     K = CohClass(square, ring, {(i, j): C[i][j] for i in range(n + 1) for j in range(n + 1)})
-    cols = tuple(tuple((i, sorted(C[i][j]._t.items())) for i in range(n + 1) if C[i][j]) for j in range(n + 1))
+    order = ring.operand_order
+    cols = tuple(tuple((i, order(C[i][j]._t.items())) for i in range(n + 1) if C[i][j]) for j in range(n + 1))
     return GysinKernel(n, C, K, cols)
 
 

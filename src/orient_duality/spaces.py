@@ -181,14 +181,13 @@ def packed_pairs(left: "SparseClass", right: "SparseClass", total: int, sign: in
     (g = b).  Where ``right`` has fewer terms than that box, and on the
     simplex tables of ``fgl``, it tests every pair instead.  Each g sums
     its products c * d into one raw ring-key map by ``fused_mul``, over
-    the ring keys of d, sorted once per call where the ring truncates (the
-    early stop of ``fused_mul`` needs the order), and ``wrap_sums`` cleans the
-    maps at the end."""
+    the ring keys of d, put in the ring's ``operand_order`` once per call,
+    and ``wrap_sums`` cleans the maps at the end."""
     if not left.terms or not right.terms:
         return {}
     space = left.space
     keys, expos = packed_keys(space, total)
-    order = sorted if left.ring._limit is not None else list
+    order = left.ring.operand_order
     by_key = {keys[f]: order(d._t.items()) for f, d in right.terms.items()}
     find = by_key.get
     walk = total == space.total_dim
@@ -228,7 +227,7 @@ def contract(big: "SparseClass", small: "SparseClass", keep: tuple, match: tuple
     c * small(e|match) over the terms (e, c) of big with e|keep = u."""
     if big.ring != small.ring:
         raise RingMismatchError("classes over different coefficient rings")
-    order = sorted if big.ring._limit is not None else list  # for the early stop of fused_mul
+    order = big.ring.operand_order
     find = {f: order(d._t.items()) for f, d in small.terms.items()}.get
     key, sub = gather(keep), gather(match)
     sums = defaultdict(dict)

@@ -238,6 +238,17 @@ def test_axioms_witness_degree():
     assert w is not None and "degree" in w
 
 
+def test_index_below_one_is_refused_not_recursed():
+    # apply_law forms no power for the key (0, 2): every evaluation of F
+    # raises ValueError naming it, and check_axioms reports the shape
+    ring = CoeffRing.multiplicative(4)
+    z = CohClass.zeta(Space((1,)), ring, 0)
+    for evaluate in (lambda F: F.log(), lambda F: F.inverse(), lambda F: F.eval(z, z)):
+        with pytest.raises(ValueError, match=r"a\(0,2\)"):
+            evaluate(FGL(ring, 4, {(0, 2): ring.gen(0)}))
+    assert check_axioms(FGL(ring, 4, {(0, 2): ring.gen(0)})) == "coefficient a(0,2) outside the allowed index range"
+
+
 def test_axioms_witness_not_a_group_law():
     # symmetric, right degrees, but the logarithm solved from a(i,1) does
     # not satisfy log(F(x,y)) = log(x) + log(y), so F is no group law

@@ -34,6 +34,7 @@ from orient_duality.spaces import (
     basis,
     cross_coh,
 )
+from test_golden import PINS
 
 N = 8
 
@@ -323,17 +324,10 @@ def test_cold_duality_to_coh_builds_no_diagonal_class(monkeypatch, capsys):
         raise AssertionError("diagonal class of %s built" % space)
 
     monkeypatch.setattr(gysin, "_diagonal_class", refuse)
-    literal = (
-        '{"values": [{"zeta": [4, 4, 4], "coeff": "1"}, {"zeta": [1, 2, 3], "coeff": "1/2*b1"}, '
-        '{"zeta": [0, 0, 0], "coeff": "-3"}, {"zeta": [2, 0, 1], "coeff": "b2 + 5"}]}'
-    )
-    argv = ["dualize", "--theory", "universal", "--space", "P4xP4xP4", "--direction", "to-coh"]
-    assert main(argv + ["--format", "json", "--class", literal]) == 0
+    pin = {p["id"]: p for p in PINS}["dualize-to-coh-universal-P4xP4xP4"]
+    assert main(list(pin["argv"])) == 0
     out = capsys.readouterr().out
-    # the bytes of the golden dualize-to-coh-universal-P4xP4xP4
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "fc58b8acaebfddb879a761463adf73e4b1953b0b23aa082af0954bcdc0b6727a"
-    )
+    assert hashlib.sha256(out.encode()).hexdigest() == pin["sha256"]
     with pytest.raises(AssertionError, match="diagonal class"):
         main(["kernel", "--theory", "universal", "--space", "P1"])
 
