@@ -75,10 +75,13 @@ class RingKind(Enum):
 class CoeffRing:
     """Descriptor of a graded coefficient ring and its monomial key layout.
 
-    ``symbols[i]`` has degree ``symbol_degrees[i]`` (always negative).
+    ``CoeffRing(kind, truncation)`` fixes everything else: the symbols
+    (none, ``beta``, or ``b1 .. b{N-1}``) and their degrees,
+    ``symbols[i]`` in degree ``symbol_degrees[i]`` (always negative).
     Descriptors compare structurally; operations require equal descriptors,
-    and equal descriptors have the same layout.  The layout (see the module
-    docstring) is computed once, in ``__post_init__``:
+    and equal descriptors have the same layout.  The symbol table and the
+    layout (see the module docstring) are computed once, in
+    ``__post_init__``:
 
     * ``_radix``: R = 2N + 1 in the universal ring, else None (keys are
       exponents there);
@@ -95,8 +98,8 @@ class CoeffRing:
 
     kind: RingKind
     truncation: int
-    symbols: tuple[str, ...]
-    symbol_degrees: tuple[int, ...]
+    symbols: tuple[str, ...] = field(init=False)
+    symbol_degrees: tuple[int, ...] = field(init=False)
     _radix: int | None = field(init=False, repr=False, compare=False)
     _top: int = field(init=False, repr=False, compare=False)
     _limit: int | None = field(init=False, repr=False, compare=False)
@@ -104,48 +107,37 @@ class CoeffRing:
     _render_memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.kind, RingKind):
+            raise ValueError("ring kind %r is not a RingKind" % (self.kind,))
         if self.truncation < 1:
             raise ValueError("truncation bound must be >= 1")
-        if len(self.symbols) != len(self.symbol_degrees):
-            raise ValueError("symbol table is inconsistent")
-        if any(d >= 0 for d in self.symbol_degrees):
-            raise ValueError("symbol degrees must be negative")
+        radix = limit = None
+        top = 1
         if self.kind is RingKind.UNIVERSAL:
+            symbols = tuple("b%d" % m for m in range(1, self.truncation))
+            degrees = tuple(-m for m in range(1, self.truncation))
             radix = 2 * self.truncation + 1
-            top = radix ** len(self.symbols)
+            top = radix ** len(symbols)
             limit = (self.truncation + 1) * top
-        elif self.symbol_degrees in ((), (-1,)):
-            radix = limit = None
-            top = 1
+        elif self.kind is RingKind.MULTIPLICATIVE:
+            symbols, degrees = ("beta",), (-1,)
         else:
-            raise ValueError("an untruncated ring has at most one symbol, of degree -1")
-        object.__setattr__(self, "_radix", radix)
-        object.__setattr__(self, "_top", top)
-        object.__setattr__(self, "_limit", limit)
-        object.__setattr__(self, "operand_order", list if limit is None else sorted)
-        object.__setattr__(self, "_render_memo", {})
+            symbols, degrees = (), ()
+        for name, value in (("symbols", symbols), ("symbol_degrees", degrees), ("_radix", radix), ("_top", top),
+                            ("_limit", limit), ("operand_order", list if limit is None else sorted), ("_render_memo", {})):
+            object.__setattr__(self, name, value)  # not through vars(self): that slows every attribute read
 
     @staticmethod
     def additive(truncation: int) -> "CoeffRing":
-        return CoeffRing(RingKind.ADDITIVE, truncation, (), ())
+        return CoeffRing(RingKind.ADDITIVE, truncation)
 
     @staticmethod
     def multiplicative(truncation: int) -> "CoeffRing":
-        return CoeffRing(RingKind.MULTIPLICATIVE, truncation, ("beta",), (-1,))
+        return CoeffRing(RingKind.MULTIPLICATIVE, truncation)
 
     @staticmethod
     def universal(truncation: int) -> "CoeffRing":
-        names = tuple("b%d" % m for m in range(1, truncation))
-        degs = tuple(-m for m in range(1, truncation))
-        return CoeffRing(RingKind.UNIVERSAL, truncation, names, degs)
-
-    @staticmethod
-    def for_kind(kind: RingKind, truncation: int) -> "CoeffRing":
-        if kind is RingKind.ADDITIVE:
-            return CoeffRing.additive(truncation)
-        if kind is RingKind.MULTIPLICATIVE:
-            return CoeffRing.multiplicative(truncation)
-        return CoeffRing.universal(truncation)
+        return CoeffRing(RingKind.UNIVERSAL, truncation)
 
     @property
     def nsymbols(self) -> int:

@@ -200,7 +200,7 @@ def _law(args, space: Space | None):
 def _cmd_ring(args) -> int:
     kind = RingKind.parse(args.theory)
     trunc = _checked_truncation((kind,), args.truncation if args.truncation is not None else 8)
-    ring = CoeffRing.for_kind(kind, trunc)
+    ring = CoeffRing(kind, trunc)
     symbols = [
         {"name": name, "degree": deg}
         for name, deg in zip(ring.symbols, ring.symbol_degrees)

@@ -71,12 +71,12 @@ class NilPoly(SparseClass):
         return NilPoly.monomial(Space((bound,) * nvars), ring, expo)
 
     @staticmethod
-    def from_series(s: "Series", nvars: int, bound: int, index: int) -> "NilPoly":
-        """s(x_index); the constructor drops degrees above the bound."""
+    def from_series(s: "Series", nvars: int, index: int) -> "NilPoly":
+        """s(x_index), bounded at the series' own truncation."""
         terms = {
             tuple(d if i == index else 0 for i in range(nvars)): c for (d,), c in s.terms.items()
         }
-        return NilPoly(Space((bound,) * nvars), s.ring, terms)
+        return NilPoly(Space((s.trunc,) * nvars), s.ring, terms)
 
 
 class Series(NilPoly):
@@ -190,13 +190,9 @@ def apply_law(F: "FGL", p, q):
     Works uniformly on Series, NilPoly and cohomology classes: anything
     with +, * and truthiness.  Exactness is the caller's
     responsibility (arguments must be nilpotent within the truncation).
-    A table key with i < 1 or j < 1 raises ValueError before any power
-    is formed.
+    Every table key has i, j >= 1 (``FGL`` checks it once).
     """
     table = sorted(F.coeffs.items())
-    bad = [key for key, _ in table if min(key) < 1]
-    if bad:
-        raise ValueError("law coefficient a(%d,%d) has an index below 1" % bad[0])
     out = p + q
     # p_pows[n - 1] = p^n = p^(n-1) * p, so each power costs one product
     p_pows, q_pows = [p], [q]
@@ -220,11 +216,12 @@ def apply_law(F: "FGL", p, q):
 class FGL:
     """A formal group law plus memoised derived data.
 
-    A law is given by its coefficient table, or by its logarithm alone
-    (``memo={("log", None): log}``).  The table is immutable by
-    convention.  Everything derived from the law is a pure function of it,
-    computed on first use and kept in one memo keyed by (kind, argument)
-    behind ``derived``:
+    A law is given by its ring, whose truncation it takes, and its
+    coefficient table, checked once here ({(i, j): a_ij} with ints i, j >= 1
+    and a_ij in the ring), or by its logarithm alone (``memo={("log",
+    None): log}``).  The table is immutable by convention.  Everything
+    derived from the law is a pure function of it, computed on first use
+    and kept in one memo keyed by (kind, argument) behind ``derived``:
 
     * ``"table"``: the coefficient table ``coeffs``, {(i, j): a_ij}; a
       law given by its logarithm expands it on first read;
@@ -245,13 +242,21 @@ class FGL:
       fibres of projections included (``gysin``).
     """
 
-    def __init__(self, ring: CoeffRing, truncation: int, coeffs: dict | None = None,
-                 memo: dict | None = None):
+    def __init__(self, ring: CoeffRing, coeffs: dict | None = None, memo: dict | None = None):
         self.ring = ring
-        self.truncation = truncation
+        self.truncation = ring.truncation
         self._memo = dict(memo or {})
         self.from_log = coeffs is None  # picks the route of m_series and euler
         if coeffs is not None:
+            if not isinstance(coeffs, dict):
+                raise TypeError("law coefficients must be a dict {(i, j): a_ij}, got %s" % type(coeffs).__name__)
+            for key, c in coeffs.items():
+                if type(key) is not tuple or len(key) != 2 or any(type(i) is not int for i in key):
+                    raise ValueError("law coefficient key %r is not a pair of ints" % (key,))
+                if min(key) < 1:
+                    raise ValueError("law coefficient a(%d,%d) has an index below 1" % key)
+                if not isinstance(c, RingElem) or c.ring != ring:
+                    raise RingMismatchError("law coefficient a(%d,%d) is not an element of the law's ring" % key)
             self._memo[("table", None)] = coeffs
         elif ("log", None) not in self._memo:
             raise ValueError("a law needs a coefficient table or a logarithm")
@@ -273,15 +278,15 @@ class FGL:
         """F = exp(log(x) + log(y)) expanded into its table, which must be
         in normal form and admit this law's logarithm."""
         n, ring, log = self.truncation, self.ring, self.log()
-        lx = NilPoly.from_series(log, 2, n, 0)
-        ly = NilPoly.from_series(log, 2, n, 1)
+        lx = NilPoly.from_series(log, 2, 0)
+        ly = NilPoly.from_series(log, 2, 1)
         coeffs = {}
         for (i, j), c in _series_on_nilpoly(self.exp(), lx + ly).terms.items():
             if i >= 1 and j >= 1:
                 coeffs[(i, j)] = c
             elif not ((i, j) in ((1, 0), (0, 1)) and c == ring.one()):
                 raise InternalConsistencyError("law expanded from its logarithm is not in normal form")
-        self._validate_log(log, FGL(ring, n, coeffs))
+        self._validate_log(log, FGL(ring, coeffs))
         return coeffs
 
     def a(self, i: int, j: int) -> RingElem:
@@ -378,7 +383,7 @@ class FGL:
             one = NilPoly.monomial(x.space, ring, (0, 0))
             f_y = one + NilPoly(x.space, ring, {(i, j - 1): c * j for (i, j), c in law.coeffs.items()})
             if dlog * g != Series.make(ring, n - 1, [1]) or (
-                f_y * NilPoly.from_series(g, 2, n - 1, 1) != _power_sum(g, apply_law(law, x, y), one)
+                f_y * NilPoly.from_series(g, 2, 1) != _power_sum(g, apply_law(law, x, y), one)
             ):
                 raise InternalConsistencyError(
                     "coefficient table admits no logarithm: log(F(x,y)) != log(x) + log(y)"
@@ -466,16 +471,13 @@ def _series_on_nilpoly(s: Series, arg: NilPoly) -> NilPoly:
 
 def additive_law(truncation: int) -> FGL:
     """F = x + y over the integers."""
-    return FGL(CoeffRing.additive(truncation), truncation, {})
+    return FGL(CoeffRing.additive(truncation), {})
 
 
 def multiplicative_law(truncation: int) -> FGL:
     """F = x + y - beta*x*y over Z[beta]."""
     ring = CoeffRing.multiplicative(truncation)
-    coeffs = {}
-    if truncation >= 2:
-        coeffs[(1, 1)] = -ring.gen(0)
-    return FGL(ring, truncation, coeffs)
+    return FGL(ring, {(1, 1): -ring.gen(0)} if truncation >= 2 else {})
 
 
 def universal_law(truncation: int) -> FGL:
@@ -485,7 +487,7 @@ def universal_law(truncation: int) -> FGL:
     log = Series.make(
         ring, truncation, [ring.zero(), ring.one()] + [ring.gen(m - 1) for m in range(1, truncation)]
     )
-    return FGL(ring, truncation, memo={("log", None): log})
+    return FGL(ring, memo={("log", None): log})
 
 
 def law_for(kind: RingKind, truncation: int) -> FGL:
@@ -505,20 +507,21 @@ def check_axioms(F: FGL) -> str | None:
     """Verify the group-law axioms at full precision for every ring;
     returns a witness string or None, memoised on the law.
 
-    The shape first: index range, symmetry and degrees.  Then the formal
-    inverse from the table (F(x, iota) = 0) must equal the one from the
-    logarithm (exp(-log x)).  Last, the law's own logarithm must satisfy
-    log(F(x, y)) = log(x) + log(y), which catches a stale one; it is proved
-    through its y-derivative, sound once the shape holds (``_validate_log``:
-    i, j >= 1).  As log is invertible this gives F = exp(log(x) + log(y)),
-    so F is associative with no 3-variable expansion.
+    The shape first: i + j <= N (``FGL`` already refused i or j below 1),
+    symmetry and degrees.  Then the formal inverse from the table
+    (F(x, iota) = 0) must equal the one from the logarithm (exp(-log x)).
+    Last, the law's own logarithm must satisfy log(F(x, y)) = log(x) +
+    log(y), which catches a stale one; it is proved through its
+    y-derivative (``_validate_log``, sound as every table has i, j >= 1).
+    As log is invertible this gives F = exp(log(x) + log(y)), so F is
+    associative with no 3-variable expansion.
     """
     return F.derived("axioms", None, lambda: _axiom_witness(F))
 
 
 def _axiom_witness(F: FGL) -> str | None:
     for (i, j), c in F.coeffs.items():
-        if i < 1 or j < 1 or i + j > F.truncation:
+        if i + j > F.truncation:
             return "coefficient a(%d,%d) outside the allowed index range" % (i, j)
         if c != F.a(j, i):
             return "symmetry fails at a(%d,%d)" % (i, j)

@@ -36,7 +36,7 @@ per-shape data: [fibre] for projections and ``placed_kernel``, K_n placed
 in two slots (``spaces.place``), for diagonals.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import SpaceMismatchError, RingMismatchError
 from .fgl import FGL, unit_reciprocal
@@ -57,19 +57,29 @@ from .spaces import (
 
 @dataclass(frozen=True)
 class GysinKernel:
-    """Diagonal data for one projective space P^n.
+    """Diagonal data for one projective space P^n, built from ``C`` alone.
 
     ``C`` is the two-sided inverse of the pairing matrix g_(n-k-l),
-    ``C[i][j] = [x^(i+j-n)] 1/(g_0 + ... + g_n x^n)``, and
-    ``K = sum C[i][j] z1^i z2^j`` the diagonal class on P^n x P^n.
-    ``cols[j]`` holds the items ``(i, ring.operand_order(C[i][j]._t.items()))``
-    of column j's nonzero entries, the pairs ``algebra.fused_mul`` reads.
+    ``C[i][j] = [x^(i+j-n)] 1/(g_0 + ... + g_n x^n)``.  Derived from it,
+    once per kernel: ``n``, the diagonal class ``K = sum C[i][j] z1^i z2^j``
+    on P^n x P^n, and ``cols[j]``, the items ``(i, ring.operand_order(
+    C[i][j]._t.items()))`` of column j's nonzero entries, the pairs
+    ``algebra.fused_mul`` reads.
     """
 
-    n: int
     C: tuple
-    K: CohClass
-    cols: tuple
+    n: int = field(init=False, compare=False)
+    K: CohClass = field(init=False, repr=False, compare=False)
+    cols: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        C, n = self.C, len(self.C) - 1
+        square = Space((n, n))  # refuses an empty C
+        K = CohClass(square, C[0][0].ring, {(i, j): c for i, row in enumerate(C) for j, c in enumerate(row)})
+        order = K.ring.operand_order
+        cols = tuple(tuple((i, order(row[j]._t.items())) for i, row in enumerate(C) if row[j]) for j in range(n + 1))
+        for name, value in (("n", n), ("K", K), ("cols", cols)):
+            object.__setattr__(self, name, value)
 
 
 def kernel(law: FGL, n: int) -> GysinKernel:
@@ -83,12 +93,7 @@ def _solve_kernel(law: FGL, n: int) -> GysinKernel:
     # C is the Hankel matrix of h = 1/G, G(x) = sum g_d x^d, as the pairing
     # matrix is G's: sum_k g_(n-i-k) h_(k+j-n) = [x^(j-i)] G h = delta_ij.
     h = [ring.zero()] * n + unit_reciprocal(ring, g)
-    C = tuple(tuple(h[i + j] for j in range(n + 1)) for i in range(n + 1))  # h_(i+j-n)
-    square = Space((n, n))
-    K = CohClass(square, ring, {(i, j): C[i][j] for i in range(n + 1) for j in range(n + 1)})
-    order = ring.operand_order
-    cols = tuple(tuple((i, order(C[i][j]._t.items())) for i in range(n + 1) if C[i][j]) for j in range(n + 1))
-    return GysinKernel(n, C, K, cols)
+    return GysinKernel(tuple(tuple(h[i + j] for j in range(n + 1)) for i in range(n + 1)))  # h_(i+j-n)
 
 
 def _check_pushforward_args(f: Morphism, alpha: CohClass, law: FGL):
@@ -110,7 +115,7 @@ def pushforward_coh(f: Morphism, alpha: CohClass, law: FGL) -> CohClass:
         terms = {e[:t] + (e[t] + shift,) + e[t + 1 :]: c for e, c in alpha.terms.items()}
         return alpha._like(terms, f.target)
     if isinstance(f, Projection):
-        return contract(alpha, fundamental_class(f.fibre, law), f.keep, f.dropped, f.target)
+        return contract(alpha, fundamental_class(f.fibre, law), f.keep, f.dropped)
     if isinstance(f, Diagonal):
         return diagonal_section(f).pullback(alpha) * placed_kernel(f, law)
     if isinstance(f, Permutation):

@@ -69,7 +69,6 @@ from .spaces import (
     Morphism,
     Permutation,
     Projection,
-    Space,
     contract,
     gather,
     packed_pairs,
@@ -110,7 +109,7 @@ def pair(alpha: CohClass, a: HomClass) -> RingElem:
     alpha / a, which lands on the point."""
     _check_kinds(alpha, a)
     alpha._check(a)
-    return contract(alpha, a, (), tuple(range(a.space.nfactors)), Space.point()).coeff(())
+    return contract(alpha, a, (), tuple(range(a.space.nfactors))).coeff(())
 
 
 def pushforward_hom(f: Morphism, a: HomClass) -> HomClass:
@@ -182,7 +181,7 @@ def cap(alpha: CohClass, a: HomClass) -> HomClass:
     """(alpha cap a)(beta) = a(beta * alpha): a at v picks up beta = v - e."""
     _check_kinds(alpha, a)
     alpha._check(a)
-    return a._like(packed_pairs(alpha, a, alpha.space.total_dim, -1))
+    return a._like(packed_pairs(alpha, a, -1))
 
 
 def cross_hom(a: HomClass, b: HomClass) -> HomClass:
@@ -203,7 +202,7 @@ def slant_l(alpha: CohClass, a: HomClass) -> CohClass:
         raise SpaceMismatchError(
             "slant needs %s to end with %s" % (alpha.space, a.space)
         )
-    return contract(alpha, a, tuple(range(kx)), tuple(range(kx, kx + ky)), Space(alpha.space.factors[:kx]))
+    return contract(alpha, a, tuple(range(kx)), tuple(range(kx, kx + ky)))
 
 
 def slant_r(alpha: CohClass, b: HomClass) -> HomClass:
@@ -216,7 +215,7 @@ def slant_r(alpha: CohClass, b: HomClass) -> HomClass:
         raise SpaceMismatchError(
             "slant needs %s to start with %s" % (b.space, alpha.space)
         )
-    return contract(b, alpha, tuple(range(kx, kx + ky)), tuple(range(kx)), Space(b.space.factors[kx:]))
+    return contract(b, alpha, tuple(range(kx, kx + ky)), tuple(range(kx)))
 
 
 # -- duality ----------------------------------------------------------------

@@ -167,10 +167,12 @@ def _half_box(space: Space, lo: int, part: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def packed_pairs(left: "SparseClass", right: "SparseClass", total: int, sign: int) -> dict:
+def packed_pairs(left: "SparseClass", right: "SparseClass", sign: int) -> dict:
     """The sum of c * d at g over the pairs (e, c) of ``left`` and (f, d)
     of ``right`` with sign * key(e) + key(f) = key(g) for a tuple g of the
-    ``packed_keys(space, total)`` table: the product for sign 1
+    ``packed_keys(space, total)`` table, ``total = left._top_degree()``
+    (the box for a cohomology class, the simplex below the degree bound for
+    a ``NilPoly``): the product for sign 1
     (g = e + f), the cap product for sign -1 (g = f - e).  Both classes
     are on one space over one ring (the caller checks), and every tuple of
     theirs is in the table.  Returns the coefficients by tuple, zeros kept.
@@ -185,7 +187,7 @@ def packed_pairs(left: "SparseClass", right: "SparseClass", total: int, sign: in
     and ``wrap_sums`` cleans the maps at the end."""
     if not left.terms or not right.terms:
         return {}
-    space = left.space
+    space, total = left.space, left._top_degree()
     keys, expos = packed_keys(space, total)
     order = left.ring.operand_order
     by_key = {keys[f]: order(d._t.items()) for f, d in right.terms.items()}
@@ -222,9 +224,10 @@ def gather(slots: tuple[int, ...]):
     return itemgetter(slice(slots[0], slots[0] + 1) if slots else slice(0))
 
 
-def contract(big: "SparseClass", small: "SparseClass", keep: tuple, match: tuple, space: Space):
-    """The class of ``big``'s kind on ``space`` whose coefficient at u sums
-    c * small(e|match) over the terms (e, c) of big with e|keep = u."""
+def contract(big: "SparseClass", small: "SparseClass", keep: tuple, match: tuple):
+    """The class of ``big``'s kind on the ``keep`` factors of ``big.space``
+    whose coefficient at u sums c * small(e|match) over the terms (e, c) of
+    big with e|keep = u."""
     if big.ring != small.ring:
         raise RingMismatchError("classes over different coefficient rings")
     order = big.ring.operand_order
@@ -235,7 +238,7 @@ def contract(big: "SparseClass", small: "SparseClass", keep: tuple, match: tuple
         d = find(sub(e))
         if d is not None:
             fused_mul(sums[key(e)], c, d)
-    return big._like(wrap_sums(big.ring, sums), space)
+    return big._like(wrap_sums(big.ring, sums), Space(key(big.space.factors)))
 
 
 @lru_cache(maxsize=1024)
@@ -373,7 +376,7 @@ class SparseClass:
         above ``_top_degree``, or scaling by a coefficient."""
         if type(other) is type(self):
             self._check(other)
-            return self._like(packed_pairs(self, other, self._top_degree(), 1))
+            return self._like(packed_pairs(self, other, 1))
         if not isinstance(other, (int, Fraction, RingElem)):
             return NotImplemented
         if isinstance(other, RingElem) and other.ring != self.ring:

@@ -39,7 +39,7 @@ V16 slant/cap/cross calculus and functoriality
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -110,21 +110,21 @@ class CheckConfig:
 
 @dataclass(frozen=True)
 class CheckReport:
+    """One (check, theory, space) cell; its status follows from its witness."""
+
     check: str
     theory: str
     space: str
-    status: str  # "pass" | "fail"
     witness: dict | None
-    identities: int = 0  # pairs compared in this cell; not part of either output
+    identities: int = field(default=0, kw_only=True)  # pairs compared in this cell; not part of either output
+    status = property(lambda self: "pass" if self.witness is None else "fail")
+
+    def __post_init__(self):
+        if self.witness is not None and not isinstance(self.witness, dict):
+            raise TypeError("a report's witness is a dict or None, not %r" % (self.witness,))
 
     def to_json_obj(self) -> dict:
-        return {
-            "check": self.check,
-            "theory": self.theory,
-            "space": self.space,
-            "status": self.status,
-            "witness": self.witness,
-        }
+        return dict(check=self.check, theory=self.theory, space=self.space, status=self.status, witness=self.witness)
 
 
 def _derive_rng(seed: int, *labels: str) -> random.Random:
@@ -189,13 +189,13 @@ def _render(x) -> str:
 
 @dataclass
 class _Ctx:
-    kind: RingKind
     law: FGL
-    ring: CoeffRing
     space: Space
     rng: random.Random
     samples: int
     identities: int = 0
+    kind = property(lambda self: self.law.kind)
+    ring = property(lambda self: self.law.ring)
 
 
 def _generators(space: Space) -> list[Morphism]:
@@ -617,12 +617,7 @@ def run_suite(cfg: CheckConfig, laws: dict | None = None, checks=None) -> list[C
     if checks is not None and len(selected) != len(set(checks)):
         unknown = set(checks) - {cid for cid, _ in CHECKS}
         raise ValueError("unknown check ids: %s" % sorted(unknown))
-    built: dict = {}
-    for kind in cfg.theories:
-        if laws is not None and kind in laws:
-            built[kind] = laws[kind]
-        else:
-            built[kind] = law_for(kind, cfg.truncation)
+    built = {kind: (laws or {}).get(kind) or law_for(kind, cfg.truncation) for kind in cfg.theories}
 
     reports = []
     for cid, fn in selected:
@@ -630,13 +625,12 @@ def run_suite(cfg: CheckConfig, laws: dict | None = None, checks=None) -> list[C
             for space in cfg.spaces:
                 law = built[kind]
                 rng = _derive_rng(cfg.seed, cid, kind.value, space.render())
-                ctx = _Ctx(kind, law, law.ring, space, rng, cfg.samples)
+                ctx = _Ctx(law, space, rng, cfg.samples)
                 try:
                     witness = fn(ctx)
                 except CalculatorError as exc:
                     witness = {"error": "%s: %s" % (type(exc).__name__, exc)}
-                status = "pass" if witness is None else "fail"
-                reports.append(CheckReport(cid, kind.value, space.render(), status, witness, ctx.identities))
+                reports.append(CheckReport(cid, kind.value, space.render(), witness, identities=ctx.identities))
     return reports
 
 

@@ -31,4 +31,4 @@ def with_flipped_coefficient(F: FGL, i: int, j: int, *, keep_log: bool = True, k
     old = coeffs.get((i, j), F.ring.zero())
     coeffs[(i, j)] = -old
     kept = (LOG_KINDS if keep_log else ()) + (KERNEL_KINDS if keep_kernels else ())
-    return FGL(F.ring, F.truncation, coeffs, {k: v for k, v in F._memo.items() if k[0] in kept})
+    return FGL(F.ring, coeffs, {k: v for k, v in F._memo.items() if k[0] in kept})

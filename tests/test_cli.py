@@ -429,7 +429,7 @@ def test_embed_token_requires_growth():
 # -- parser fuzzing -------------------------------------------------------------
 
 FUZZ_SPACES = tuple(Space.parse(s) for s in ("pt", "P0", "P1", "P2", "P1xP1", "P2xP1"))
-FUZZ_RINGS = tuple(CoeffRing.for_kind(kind, 4) for kind in RingKind)
+FUZZ_RINGS = tuple(CoeffRing(kind, 4) for kind in RingKind)
 
 # Text from the morphism grammar's tokens: ';'-joined chunks that are whole
 # calls or token soup, so that well-formed chains and malformed ones mix.
@@ -757,7 +757,7 @@ def test_exit_1_on_failing_check(capsys, monkeypatch):
     from orient_duality.verify import CheckReport
 
     def fake_run_suite(cfg, laws=None, checks=None):
-        return [CheckReport("V1-fgl-axioms", "additive", "P1", "fail", {"identity": "x"})]
+        return [CheckReport("V1-fgl-axioms", "additive", "P1", {"identity": "x"})]
 
     monkeypatch.setattr(cli_mod, "run_suite", fake_run_suite)
     code, out, _ = _run(

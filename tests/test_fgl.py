@@ -226,27 +226,28 @@ def test_axioms_pass_for_builtins(laws):
 def test_axioms_witness_asymmetric():
     ring = CoeffRing.multiplicative(4)
     beta = ring.gen(0)
-    broken = FGL(ring, 4, {(1, 2): beta * beta})
+    broken = FGL(ring, {(1, 2): beta * beta})
     w = check_axioms(broken)
     assert w is not None and "symmetry" in w
 
 
 def test_axioms_witness_degree():
     ring = CoeffRing.multiplicative(4)
-    broken = FGL(ring, 4, {(1, 1): ring.one()})  # a11 must sit in degree -1
+    broken = FGL(ring, {(1, 1): ring.one()})  # a11 must sit in degree -1
     w = check_axioms(broken)
     assert w is not None and "degree" in w
 
 
-def test_index_below_one_is_refused_not_recursed():
-    # apply_law forms no power for the key (0, 2): every evaluation of F
-    # raises ValueError naming it, and check_axioms reports the shape
+@pytest.mark.parametrize("key", [(0, 2), (2, 0)], ids=lambda k: "a%d%d" % k)
+def test_index_below_one_is_refused_not_recursed(key):
+    # the law refuses the key when it is built, naming it, so no evaluation
+    # of F (log, inverse, apply_law) ever forms a power for it; (2, 0) once
+    # reached the log check and failed on an exponent naming no coefficient
     ring = CoeffRing.multiplicative(4)
-    z = CohClass.zeta(Space((1,)), ring, 0)
-    for evaluate in (lambda F: F.log(), lambda F: F.inverse(), lambda F: F.eval(z, z)):
-        with pytest.raises(ValueError, match=r"a\(0,2\)"):
-            evaluate(FGL(ring, 4, {(0, 2): ring.gen(0)}))
-    assert check_axioms(FGL(ring, 4, {(0, 2): ring.gen(0)})) == "coefficient a(0,2) outside the allowed index range"
+    with pytest.raises(ValueError, match=r"^law coefficient a\(%d,%d\) has an index below 1$" % key):
+        FGL(ring, {key: ring.gen(0)})
+    # check_axioms still reports a key past the truncation
+    assert check_axioms(FGL(ring, {(2, 3): ring.gen(0) ** 4})) == "coefficient a(2,3) outside the allowed index range"
 
 
 def test_axioms_witness_not_a_group_law():
@@ -254,7 +255,7 @@ def test_axioms_witness_not_a_group_law():
     # not satisfy log(F(x,y)) = log(x) + log(y), so F is no group law
     ring = CoeffRing.multiplicative(5)
     beta = ring.gen(0)
-    broken = FGL(ring, 5, {(1, 1): -beta, (2, 2): beta ** 3})
+    broken = FGL(ring, {(1, 1): -beta, (2, 2): beta ** 3})
     w = check_axioms(broken)
     assert w is not None and "admits no logarithm" in w
 
@@ -493,7 +494,7 @@ def test_log_validation_rejects_tampered_table():
     coeffs = dict(law.coeffs)
     coeffs[(1, 2)] = -coeffs[(1, 2)]
     coeffs[(2, 1)] = -coeffs[(2, 1)]  # keep symmetry so log() is reached
-    broken = FGL(ring, 5, coeffs)
+    broken = FGL(ring, coeffs)
     with pytest.raises(InternalConsistencyError):
         broken.log()
 
@@ -503,7 +504,7 @@ def test_log_solved_from_universal_table():
     # same table must solve for exactly that series
     for n in range(2, 11):
         law = universal_law(n)
-        assert FGL(law.ring, n, dict(law.coeffs)).log() == law.log()
+        assert FGL(law.ring, dict(law.coeffs)).log() == law.log()
 
 
 def test_law_for_dispatch():

@@ -252,7 +252,7 @@ def test_v1_sees_a_non_associative_table_without_the_axiom_check(monkeypatch):
 
     law = multiplicative_law(4)
     beta2 = law.ring.gen(0) ** 2
-    bad = FGL(law.ring, 4, {**law.coeffs, (1, 2): beta2, (2, 1): beta2})
+    bad = FGL(law.ring, {**law.coeffs, (1, 2): beta2, (2, 1): beta2})
     monkeypatch.setattr(verify_mod, "check_axioms", lambda F: None)
     cfg = _cfg(theories=(RingKind.MULTIPLICATIVE,), spaces=(Space((1,)),))
     reports = run_suite(cfg, laws={RingKind.MULTIPLICATIVE: bad}, checks=("V1-fgl-axioms",))
