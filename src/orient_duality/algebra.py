@@ -22,8 +22,10 @@ fixes once, at construction:
   A monomial that survives truncation has w <= N, so each exponent is at
   most N and each lower digit of the sum of two keys is at most 2N < R.
   The product of two monomials is therefore the sum of their keys, with
-  no carry, and the product survives iff that sum is below (N + 1)*R^n:
-  one integer add and one compare per pair of terms.
+  no carry.  Every key of weight <= N is below (N + 1)*R^n, and every key
+  of weight > N is at least (N + 1)*(R^n + 1), the key of b1^(N+1), so
+  the product survives iff that sum is below the key of b1^(N+1): one
+  integer add and one compare per pair of terms.
 * multiplicative: the key is the exponent of ``beta``; nothing is dropped.
 * additive: the only monomial is 1, with key 0.
 
@@ -33,10 +35,14 @@ Elements are in canonical form: nonzero coefficients, with an int wherever
 a Fraction equals one.  Each operation builds one fresh key map and
 canonicalises it once, then wraps it without a second pass: sums clean
 only the coefficients they change (both operands are already canonical),
-and negation keeps canonical coefficients canonical.  Every product runs
-one loop, ``fused_mul``, into a raw key map; a sum of products (cup, cap,
-slants, pairing) fills one map per output and cleans each once with
-``wrap_sums``, so no element is built per term.  Only the public
+and negation keeps canonical coefficients canonical.  Every product of
+elements runs one loop, ``sum_products(ring, triples)``, which sums c * d
+by key over triples (key, c, d), each key's products into one raw key map
+cleaned once, and drops the zero sums.  ``RingElem.__mul__`` is its
+one-triple case; a sum of products elsewhere (cup, cap, slants, pairing,
+duality, series evaluation, the series solvers) passes all its triples in
+one call, so no element is built per term and no other module multiplies
+key maps.  Only the public
 constructor ``RingElem(ring, {exponent tuple: coefficient})`` packs
 tuples; it is the cold path used by parsing and a few samplers.  Two
 elements are equal iff their descriptors and key maps are equal, so
@@ -87,12 +93,9 @@ class CoeffRing:
       exponents there);
     * ``_top``: the place value of the weight digit (R^n; 1 elsewhere, where
       the key is its own weight), so a key's degree is ``-(key // _top)``;
-    * ``_limit``: (N + 1)*R^n, the smallest key dropped by truncation, or
-      None where nothing is truncated;
-    * ``operand_order``: the function that turns a right operand's
-      ``_t.items()`` into the pairs ``fused_mul`` reads, taken once per
-      call: ``sorted`` where the ring truncates (the early stop needs
-      ascending keys), else ``list``;
+    * ``_limit``: (N + 1)*(R^n + 1), the key of b1^(N+1), the smallest
+      key of a monomial that truncation drops, or ``inf`` where nothing is
+      truncated;
     * ``_render_memo``: this instance's own render memo, outside ``==`` and ``hash``.
     """
 
@@ -102,8 +105,7 @@ class CoeffRing:
     symbol_degrees: tuple[int, ...] = field(init=False)
     _radix: int | None = field(init=False, repr=False, compare=False)
     _top: int = field(init=False, repr=False, compare=False)
-    _limit: int | None = field(init=False, repr=False, compare=False)
-    operand_order: object = field(init=False, repr=False, compare=False)
+    _limit: int | float = field(init=False, repr=False, compare=False)
     _render_memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -111,20 +113,19 @@ class CoeffRing:
             raise ValueError("ring kind %r is not a RingKind" % (self.kind,))
         if self.truncation < 1:
             raise ValueError("truncation bound must be >= 1")
-        radix = limit = None
-        top = 1
+        radix, top, limit = None, 1, inf
         if self.kind is RingKind.UNIVERSAL:
             symbols = tuple("b%d" % m for m in range(1, self.truncation))
             degrees = tuple(-m for m in range(1, self.truncation))
             radix = 2 * self.truncation + 1
             top = radix ** len(symbols)
-            limit = (self.truncation + 1) * top
+            limit = (self.truncation + 1) * (top + 1)
         elif self.kind is RingKind.MULTIPLICATIVE:
             symbols, degrees = ("beta",), (-1,)
         else:
             symbols, degrees = (), ()
         for name, value in (("symbols", symbols), ("symbol_degrees", degrees), ("_radix", radix), ("_top", top),
-                            ("_limit", limit), ("operand_order", list if limit is None else sorted), ("_render_memo", {})):
+                            ("_limit", limit), ("_render_memo", {})):
             object.__setattr__(self, name, value)  # not through vars(self): that slows every attribute read
 
     @staticmethod
@@ -157,10 +158,10 @@ class CoeffRing:
         if len(expo) != len(self.symbols) or any(e < 0 for e in expo):
             raise ValueError("exponent tuple %r does not fit the symbols %r" % (expo, self.symbols))
         weight = -self.monomial_degree(expo)
-        if self._limit is not None and weight > self.truncation:
-            return None
-        if self._limit is None:
+        if self._radix is None:
             return weight
+        if weight > self.truncation:
+            return None
         key = weight
         for e in reversed(expo):
             key = key * self._radix + e
@@ -226,30 +227,37 @@ def _wrap(ring: CoeffRing, packed: dict) -> "RingElem":
     return elem
 
 
-def fused_mul(acc: dict, c: "RingElem", d_items) -> None:
-    """Add the key map of c * d into the raw map ``acc``, the one loop of
-    coefficient products.  ``d_items`` are d's (key, coefficient) pairs in
-    ``CoeffRing.operand_order``, ascending where the ring truncates: the
-    loop stops at the first pair whose key sum reaches ``CoeffRing._limit``
-    (None truncates nothing, and then any order will do)."""
-    limit = c.ring._limit or inf
-    for k1, c1 in c._t.items():
-        room = limit - k1
-        for k2, c2 in d_items:
-            if k2 >= room:
-                break
-            k = k1 + k2
-            if k in acc:
-                acc[k] += c1 * c2
-            else:
-                acc[k] = c1 * c2
+def sum_products(ring: CoeffRing, triples) -> dict:
+    """The sums of c * d by key over the triples (key, c, d) of elements of
+    ``ring``, without the keys whose sum is zero: the one loop over
+    coefficient products, which every product of elements runs.
 
-
-def wrap_sums(ring: CoeffRing, accs: dict) -> dict:
-    """The elements of the raw key maps ``accs`` (filled by ``fused_mul``),
-    by the same keys, each map canonicalised once; zeros are kept, for
-    ``spaces.SparseClass._like`` to drop."""
-    return {g: _wrap(ring, _canonical(raw)) for g, raw in accs.items()}
+    Each key's products go into one raw key map, which drops every product
+    whose key reaches ``_limit`` (truncation) and is canonicalised and
+    wrapped once at the end.
+    """
+    limit = ring._limit
+    raw = {}
+    for key, c, d in triples:
+        acc = raw.get(key)
+        if acc is None:
+            acc = raw[key] = {}
+        pairs = d._t.items()
+        for k1, c1 in c._t.items():
+            for k2, c2 in pairs:
+                k = k1 + k2
+                if k >= limit:
+                    continue
+                if k in acc:
+                    acc[k] += c1 * c2
+                else:
+                    acc[k] = c1 * c2
+    out = {}
+    for key, acc in raw.items():
+        acc = _canonical(acc)
+        if acc:
+            out[key] = _wrap(ring, acc)
+    return out
 
 
 class RingElem:
@@ -359,9 +367,8 @@ class RingElem:
                 return NotImplemented
             other = self.ring.from_coeff(other)
         self._check_ring(other)
-        terms: dict = {}
-        fused_mul(terms, self, self.ring.operand_order(other._t.items()))
-        return _wrap(self.ring, _canonical(terms))
+        product = sum_products(self.ring, ((0, self, other),))
+        return product[0] if product else self.ring.zero()
 
     __rmul__ = __mul__
 

@@ -39,10 +39,9 @@ g_n = (n + 1) * [x^(n+1)] log.  For the integer rings the values are
 proved integral before being returned.
 """
 
-from collections import defaultdict
 from fractions import Fraction
 
-from .algebra import CoeffRing, RingElem, RingKind, fused_mul, wrap_sums
+from .algebra import CoeffRing, RingElem, RingKind, sum_products
 from .errors import InternalConsistencyError, RingMismatchError, TruncationUnsoundError
 from .spaces import Space, SparseClass
 
@@ -59,7 +58,7 @@ class NilPoly(SparseClass):
     def __init__(self, space: Space, ring: CoeffRing, terms: dict):
         # a tuple outside the box is above the bound too
         bound = space.factors[0]
-        inside = self._split_box(space, terms)[0]
+        inside = self._split_box(space, ring, terms)[0]
         super().__init__(space, ring, {e: c for e, c in inside.items() if sum(e) <= bound})
 
     def _top_degree(self) -> int:
@@ -150,10 +149,9 @@ class Series(NilPoly):
 def unit_reciprocal(ring: CoeffRing, u: list) -> list:
     """The coefficients of 1/u(x) mod x^len(u) for u = sum u_i x^i with
     u_0 = 1, with no division: v_0 = 1, v_m = -sum_(1<=i<=m) u_i v_(m-i)."""
-    nonzero = [i for i in range(1, len(u)) if u[i]]
     v = [ring.one()]
     for m in range(1, len(u)):
-        v.append(-sum((u[i] * v[m - i] for i in nonzero if i <= m), ring.zero()))
+        v.append(-sum_products(ring, [(0, u[i], v[m - i]) for i in range(1, m + 1)]).get(0, ring.zero()))
     return v
 
 
@@ -165,23 +163,22 @@ def _power_sum(s: Series, arg, out):
     It stops at the last nonzero s[d], and at the first power of ``arg``
     that vanishes, so a short series, or an argument without constant term
     in a truncated or nilpotent algebra, costs no product past the last
-    power that counts.  Each tuple's terms s[d] * p sum into one raw
-    ring-key map through ``fused_mul``, wrapped once at the end.
+    power that counts.  The terms p * s[d] of every power, and out's
+    terms times 1, are summed by tuple in one call of ``sum_products``.
     """
     if arg.ring != s.ring:
         raise RingMismatchError("series and argument over different coefficient rings")
-    sums = defaultdict(dict, {e: dict(c._t) for e, c in out.terms.items()})
-    power, order = None, s.ring.operand_order
+    one = s.ring.one()
+    triples = [(e, c, one) for e, c in out.terms.items()]
+    power = None
     for d in range(1, max(s.terms, default=(0,))[0] + 1):
         power = arg if power is None else power * arg
         if not power:
             break
         c = s[d]
         if c:
-            items = order(c._t.items())
-            for e, p in power.terms.items():
-                fused_mul(sums[e], p, items)
-    return out._like(wrap_sums(out.ring, sums))
+            triples += [(e, p, c) for e, p in power.terms.items()]
+    return out._like(sum_products(out.ring, triples))
 
 
 def apply_law(F: "FGL", p, q):
@@ -430,30 +427,25 @@ def _solve_by_degree(g: dict, trunc: int, defect, failure: str) -> Series:
     T[j][m] = [x^m] s^j, which reads only s_1 .. s_(m-j+1) for j >= 2, the
     coefficient of x^d is g_01 s_d + sum g_ij T[j][d-i] over the other
     (i, j): round d extends each row T[j] by T[j][d] = sum s_m T[j-1][d-m]
-    and solves for s_d, about N^3/6 ring products in all.  The one
-    evaluation at full precision, ``defect(s)``, is the check: a nonzero
-    defect raises ``failure``."""
+    and solves for s_d, about N^3/6 ring products in all.  The rows hold
+    elements, and each round is two calls of ``sum_products``: the new
+    entries T[j][d] keyed by j, then s_d.  The one evaluation at full
+    precision, ``defect(s)``, is the check: a nonzero defect raises
+    ``failure``."""
     ring = g[(0, 1)].ring
-    order = ring.operand_order
-    rest = [(i, j, c) for (i, j), c in g.items() if (i, j) != (0, 1) and c]
+    zero = ring.zero()
+    rest = [(i, j, a) for (i, j), a in g.items() if (i, j) != (0, 1) and a]
     top = max([1] + [j for _, j, _ in rest])
-    rows = [[order(ring.one()._t.items())] + [()] * trunc] + [[()] * (trunc + 1) for _ in range(top)]
-    s = [ring.zero()]
+    rows = [[ring.one()] + [zero] * trunc] + [[zero] * (trunc + 1) for _ in range(top)]
+    s = [zero]
     for d in range(1, trunc + 1):
-        accs = {j: {} for j in range(2, min(top, d) + 1)}
-        for j, acc in accs.items():
-            prev = rows[j - 1]
-            for m in range(1, d - j + 2):
-                fused_mul(acc, s[m], prev[d - m])
-        for j, t in wrap_sums(ring, accs).items():
-            rows[j][d] = order(t._t.items())
-        acc = {}
-        for i, j, c in rest:
-            if i <= d:
-                fused_mul(acc, c, rows[j][d - i])
-        c = wrap_sums(ring, {0: acc})[0]
+        powers = [(j, s[m], rows[j - 1][d - m])
+                  for j in range(2, min(top, d) + 1) for m in range(1, d - j + 2)]
+        for j, t in sum_products(ring, powers).items():
+            rows[j][d] = t
+        c = sum_products(ring, [(0, a, rows[j][d - i]) for i, j, a in rest if i <= d]).get(0, zero)
         s.append(-c if g[(0, 1)] == ring.one() else c)  # s_d = -c / g_01
-        rows[1][d] = order(s[d]._t.items())
+        rows[1][d] = s[d]
     out = Series._trusted(Space((trunc,)), ring, {(d,): c for d, c in enumerate(s)})
     if defect(out):
         raise InternalConsistencyError(failure)

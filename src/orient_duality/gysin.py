@@ -61,25 +61,21 @@ class GysinKernel:
 
     ``C`` is the two-sided inverse of the pairing matrix g_(n-k-l),
     ``C[i][j] = [x^(i+j-n)] 1/(g_0 + ... + g_n x^n)``.  Derived from it,
-    once per kernel: ``n``, the diagonal class ``K = sum C[i][j] z1^i z2^j``
-    on P^n x P^n, and ``cols[j]``, the items ``(i, ring.operand_order(
-    C[i][j]._t.items()))`` of column j's nonzero entries, the pairs
-    ``algebra.fused_mul`` reads.
+    once per kernel: ``n`` and the diagonal class ``K = sum C[i][j] z1^i
+    z2^j`` on P^n x P^n.  D_coh (``homodual.duality_to_coh``) reads ``C``
+    itself.
     """
 
     C: tuple
     n: int = field(init=False, compare=False)
     K: CohClass = field(init=False, repr=False, compare=False)
-    cols: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         C, n = self.C, len(self.C) - 1
         square = Space((n, n))  # refuses an empty C
         K = CohClass(square, C[0][0].ring, {(i, j): c for i, row in enumerate(C) for j, c in enumerate(row)})
-        order = K.ring.operand_order
-        cols = tuple(tuple((i, order(row[j]._t.items())) for i, row in enumerate(C) if row[j]) for j in range(n + 1))
-        for name, value in (("n", n), ("K", K), ("cols", cols)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "K", K)
 
 
 def kernel(law: FGL, n: int) -> GysinKernel:

@@ -46,17 +46,16 @@ the law's memo (``FGL.derived``).
 keys of alpha negated: each term e of alpha walks the box b <= n - e and
 looks a up at b + e, or tests every value of a where a has fewer values
 than that box.  The slants, ``pair`` (onto the point) and p_! are one
-contraction, ``spaces.contract``, and every output sums its coefficient
-products through ``algebra.fused_mul``.  ``cross_hom`` is the shared
-external product.
+contraction, ``spaces.contract``.  Each of these maps, and D_coh, which
+reads the kernel matrices C_n of ``gysin.kernel``, hands all its
+coefficient products to one call of ``algebra.sum_products``.
+``cross_hom`` is the shared external product.
 
 The projective bundle decomposition is realised by ``psi``/``pbt_section``
 for projections that drop a single factor.
 """
 
-from collections import defaultdict
-
-from .algebra import RingElem, fused_mul, wrap_sums
+from .algebra import RingElem, sum_products
 from .errors import RingMismatchError, SpaceMismatchError
 from .fgl import FGL
 from .gysin import diagonal_section, fundamental_class, kernel, placed_kernel
@@ -234,12 +233,14 @@ def duality_to_coh(a: HomClass, law: FGL) -> CohClass:
         raise RingMismatchError("class and law use different coefficient rings")
     values = a.terms
     for t, n in enumerate(a.space.factors):
-        cols = kernel(law, n).cols
-        sums = defaultdict(dict)
-        for v, c in values.items():
-            for i, d in cols[v[t]]:
-                fused_mul(sums[v[:t] + (i,) + v[t + 1 :]], c, d)
-        values = wrap_sums(a.ring, sums)
+        C = kernel(law, n).C
+        triples = [
+            (v[:t] + (i,) + v[t + 1 :], c, d)
+            for v, c in values.items()
+            for i in range(n + 1)
+            if (d := C[i][v[t]])
+        ]
+        values = sum_products(a.ring, triples)
     return CohClass._trusted(a.space, a.ring, values)
 
 

@@ -31,9 +31,9 @@ cached halves of the factors, and looks the right operand up by key; where
 the right operand has fewer terms than that box, and on a simplex, it
 tests every pair by one lookup in the table instead (after Monagan and
 Pearce's sparse products, which touch only the monomials that survive).
-The coefficient products of one output tuple go into one raw ring-key
-map through ``algebra.fused_mul``, the loop behind every product of ring
-elements, and ``algebra.wrap_sums`` canonicalises and wraps each map once.
+It collects the triples (g, c, d) of the pairs that meet at each output
+tuple g and sums all their coefficient products in one call of
+``algebra.sum_products``, the loop behind every product of ring elements.
 
 One slot gather (``gather``) serves ``contract``, which sums
 c * small(e|match) at e|keep (the slants, the pairing and p_!(alpha) =
@@ -54,13 +54,12 @@ since they depend on the group law.
 
 import json
 import re
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import itemgetter
 
-from .algebra import CoeffRing, RingElem, fused_mul, wrap_sums
+from .algebra import CoeffRing, RingElem, sum_products
 from .errors import (
     ParseError,
     RingMismatchError,
@@ -76,8 +75,12 @@ class Space:
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        if any(n < 0 for n in self.factors):
-            raise ValueError("projective dimensions must be >= 0")
+        if not isinstance(self.factors, (tuple, list)):
+            raise ValueError("space factors %r are not a tuple of dimensions" % (self.factors,))
+        for n in self.factors:
+            if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+                raise ValueError("projective dimension %r is not an int >= 0" % (n,))
+        object.__setattr__(self, "factors", tuple(self.factors))  # a list would make the space unhashable
 
     @staticmethod
     def point() -> "Space":
@@ -175,44 +178,40 @@ def packed_pairs(left: "SparseClass", right: "SparseClass", sign: int) -> dict:
     a ``NilPoly``): the product for sign 1
     (g = e + f), the cap product for sign -1 (g = f - e).  Both classes
     are on one space over one ring (the caller checks), and every tuple of
-    theirs is in the table.  Returns the coefficients by tuple, zeros kept.
+    theirs is in the table.  Returns the nonzero coefficients by tuple.
 
     On the whole box each term e of ``left`` walks the tuples b <= n - e,
     the sums of two cached halves (``_half_box``), and looks ``right`` up
     by key: at b for the product (g = e + b), at b + e for the cap product
     (g = b).  Where ``right`` has fewer terms than that box, and on the
-    simplex tables of ``fgl``, it tests every pair instead.  Each g sums
-    its products c * d into one raw ring-key map by ``fused_mul``, over
-    the ring keys of d, put in the ring's ``operand_order`` once per call,
-    and ``wrap_sums`` cleans the maps at the end."""
+    simplex tables of ``fgl``, it tests every pair instead.  The pairs
+    that meet, as triples (key of g, c, d), go to one call of
+    ``algebra.sum_products``."""
     if not left.terms or not right.terms:
         return {}
     space, total = left.space, left._top_degree()
     keys, expos = packed_keys(space, total)
-    order = left.ring.operand_order
-    by_key = {keys[f]: order(d._t.items()) for f, d in right.terms.items()}
+    by_key = {keys[f]: d for f, d in right.terms.items()}
     find = by_key.get
     walk = total == space.total_dim
     half = space.nfactors // 2
-    out = defaultdict(dict)
+    triples = []
     for e, c in left.terms.items():
         ke = keys[e]
         if walk:
             low, high = _half_box(space, 0, e[:half]), _half_box(space, half, e[half:])
         if walk and len(low) * len(high) <= len(by_key):
             at, to = (0, ke) if sign > 0 else (ke, 0)
-            hits = [
-                (kh + kl + to, d)
+            triples += [
+                (kh + kl + to, c, d)
                 for kh in high
                 for kl in low
                 if (d := find(kh + kl + at)) is not None
             ]
         else:
             shift = sign * ke
-            hits = [(g, d) for kf, d in by_key.items() if (g := kf + shift) in expos]
-        for g, d in hits:
-            fused_mul(out[g], c, d)
-    return wrap_sums(left.ring, {expos[g]: acc for g, acc in out.items()})
+            triples += [(g, c, d) for kf, d in by_key.items() if (g := kf + shift) in expos]
+    return {expos[g]: s for g, s in sum_products(left.ring, triples).items()}
 
 
 @lru_cache(maxsize=1024)
@@ -230,15 +229,10 @@ def contract(big: "SparseClass", small: "SparseClass", keep: tuple, match: tuple
     big with e|keep = u."""
     if big.ring != small.ring:
         raise RingMismatchError("classes over different coefficient rings")
-    order = big.ring.operand_order
-    find = {f: order(d._t.items()) for f, d in small.terms.items()}.get
+    find = small.terms.get
     key, sub = gather(keep), gather(match)
-    sums = defaultdict(dict)
-    for e, c in big.terms.items():
-        d = find(sub(e))
-        if d is not None:
-            fused_mul(sums[key(e)], c, d)
-    return big._like(wrap_sums(big.ring, sums), Space(key(big.space.factors)))
+    triples = [(key(e), c, d) for e, c in big.terms.items() if (d := find(sub(e))) is not None]
+    return big._like(sum_products(big.ring, triples), Space(key(big.space.factors)))
 
 
 @lru_cache(maxsize=1024)
@@ -287,7 +281,7 @@ class SparseClass:
     @classmethod
     def _trusted(cls, space: Space, ring: CoeffRing, terms: dict):
         """A class from in-range terms, without their zeros and unchecked:
-        the one zero filter of every operation here."""
+        the zero filter of every operation here."""
         out = object.__new__(cls)
         out.space, out.ring = space, ring
         out.terms = {e: c for e, c in terms.items() if c._t}
@@ -298,10 +292,12 @@ class SparseClass:
         return self._trusted(self.space if space is None else space, self.ring, terms)
 
     @staticmethod
-    def _split_box(space: Space, terms: dict) -> tuple[dict, list]:
+    def _split_box(space: Space, ring: CoeffRing, terms: dict) -> tuple[dict, list]:
         """The nonzero terms in the box of ``space`` and the tuples outside
-        it, checked in one pass per tuple: a wrong length raises
-        ``SpaceMismatchError``, then any negative exponent ``ValueError``."""
+        it, checked in one pass per term: a wrong length raises
+        ``SpaceMismatchError``, then any negative exponent ``ValueError``,
+        then a coefficient that is not an element of ``ring``
+        ``RingMismatchError``."""
         inside, outside = {}, []
         bounds = space.factors
         for expo, c in terms.items():
@@ -313,6 +309,8 @@ class SparseClass:
                     raise ValueError("negative exponent in %r" % (expo,))
                 if e > n:
                     fits = False
+            if not isinstance(c, RingElem) or (c.ring is not ring and c.ring != ring):
+                raise RingMismatchError("coefficient at %r is not an element of the class's ring" % (expo,))
             if not fits:
                 outside.append(expo)
             elif c:
@@ -397,11 +395,8 @@ class SparseClass:
             )
         if self.ring != other.ring:
             raise RingMismatchError("classes over different coefficient rings")
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                terms[e1 + e2] = c1 * c2
-        return self._like(terms, self.space.times(other.space))
+        triples = [(e1 + e2, c1, c2) for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()]
+        return self._like(sum_products(self.ring, triples), self.space.times(other.space))
 
     # -- rendering -------------------------------------------------------
 
@@ -464,7 +459,7 @@ class CohClass(SparseClass):
 
     def __init__(self, space: Space, ring: CoeffRing, terms: dict):
         # a term outside the box is dropped by the quotient relation z^(n+1) = 0
-        super().__init__(space, ring, self._split_box(space, terms)[0])
+        super().__init__(space, ring, self._split_box(space, ring, terms)[0])
 
     @staticmethod
     def one(space: Space, ring: CoeffRing) -> "CohClass":
@@ -530,7 +525,7 @@ class HomClass(SparseClass):
     _NOUN = "basis tuple"
 
     def __init__(self, space: Space, ring: CoeffRing, values: dict):
-        inside, outside = self._split_box(space, values)
+        inside, outside = self._split_box(space, ring, values)
         if outside:
             raise SpaceMismatchError("basis tuple %r does not fit %s" % (outside[0], space))
         super().__init__(space, ring, inside)

@@ -610,9 +610,16 @@ def run_suite(cfg: CheckConfig, laws: dict | None = None, checks=None) -> list[C
     space) in a deterministic order.
 
     ``laws`` optionally overrides the law per ring kind (the fault
-    injection hook used by the meta-tests); ``checks`` restricts to a
-    subset of check ids.
+    injection hook used by the meta-tests): each must be of its key's kind
+    at ``cfg.truncation``, or ``ValueError`` names the key.  ``checks``
+    restricts to a subset of check ids.
     """
+    for kind, law in (laws or {}).items():
+        if law.kind is not kind or law.truncation != cfg.truncation:
+            raise ValueError(
+                "law override for %s is a %s law at truncation %d, not one of its kind at truncation %d"
+                % (kind, law.kind.value, law.truncation, cfg.truncation)
+            )
     selected = [(cid, fn) for cid, fn in CHECKS if checks is None or cid in set(checks)]
     if checks is not None and len(selected) != len(set(checks)):
         unknown = set(checks) - {cid for cid, _ in CHECKS}

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orient_duality.algebra import CoeffRing, RingElem, RingKind
+from orient_duality.algebra import CoeffRing, RingElem, RingKind, sum_products
 from orient_duality.errors import ParseError, RingMismatchError
 
 RINGS = [
@@ -223,3 +224,68 @@ def test_constant_coeff():
     ring = CoeffRing.multiplicative(6)
     assert ring.parse("5 - beta").constant_coeff() == 5
     assert ring.zero().constant_coeff() == 0
+
+
+def _tuple_oracle(ring, triples):
+    """sum c * d by key from the exponent-tuple views, with Fraction
+    coefficients and weight > N dropped by hand: no product of elements."""
+    weights = [-d for d in ring.symbol_degrees]
+    sums = {}
+    for key, c, d in triples:
+        acc = sums.setdefault(key, {})
+        for e1, c1 in c.terms.items():
+            for e2, c2 in d.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                if ring.kind is RingKind.UNIVERSAL and sum(w * x for w, x in zip(weights, e)) > ring.truncation:
+                    continue
+                acc[e] = acc.get(e, 0) + Fraction(c1) * Fraction(c2)
+    sums = {key: {e: c for e, c in acc.items() if c} for key, acc in sums.items()}
+    return {key: acc for key, acc in sums.items() if acc}
+
+
+def _random_elem(ring, rng):
+    n = ring.truncation
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        expo = [0] * ring.nsymbols
+        if ring.kind is RingKind.MULTIPLICATIVE:
+            expo = [rng.randint(0, 2 * n)]
+        elif ring.kind is RingKind.UNIVERSAL:
+            room = rng.randint(0, n)
+            while room:
+                m = rng.randint(1, min(room, ring.nsymbols))
+                expo[m - 1] += 1
+                room -= m
+        c = rng.choice([1, -1, 2, -3, 5])
+        if ring.allows_fractions and rng.random() < 0.3:
+            c = Fraction(c, rng.choice([2, 3, 6]))
+        terms[tuple(expo)] = c
+    return RingElem(ring, terms)
+
+
+@pytest.mark.parametrize("ring", [CoeffRing(kind, 6) for kind in RingKind], ids=[k.value for k in RingKind])
+@pytest.mark.parametrize("seed", range(4))
+def test_sum_products_matches_a_tuple_oracle(ring, seed):
+    rng = random.Random(seed)
+    pool = [_random_elem(ring, rng) for _ in range(6)]
+    triples = [(rng.randrange(5), rng.choice(pool), rng.choice(pool)) for _ in range(30)]
+    d = pool[0]  # one right operand, repeated across keys
+    triples += [(k, c, d) for k, c in enumerate(pool)]
+    # key 7: two products that cancel, so the key must be absent
+    triples += [(7, pool[1], pool[2]), (7, -pool[1], pool[2])]
+    if ring.kind is RingKind.UNIVERSAL:
+        def mono(*expo):
+            return RingElem(ring, {expo: 1})
+
+        # key sums at weight N = 6, which survive, and at weight N + 1, which
+        # truncation drops: b1^7 is the smallest key it drops
+        b1_3, b1_4 = mono(3, 0, 0, 0, 0), mono(4, 0, 0, 0, 0)
+        triples += [(8, mono(2, 0, 0, 0, 0), b1_4), (8, b1_3, b1_4), (8, mono(0, 0, 0, 0, 1), mono(0, 1, 0, 0, 0))]
+        triples += [(9, b1_3, b1_4)]
+    got = sum_products(ring, triples)
+    assert all(type(key) is int and v.ring == ring for key, v in got.items())
+    assert {key: dict(v.terms) for key, v in got.items()} == _tuple_oracle(ring, triples)
+    assert all(type(c) is int for v in got.values() for c in v.terms.values() if Fraction(c).denominator == 1)
+    assert 7 not in got
+    if ring.kind is RingKind.UNIVERSAL:
+        assert got[8] == mono(6, 0, 0, 0, 0) and 9 not in got

@@ -43,11 +43,11 @@ def _flipped_laws(keep_log):
 
 
 def _doubled_c(real):
-    # a kernel whose C is doubled while K and cols stay the real ones: a
-    # ``GysinKernel`` derives both from C, so the fault is a stand-in
+    # a kernel whose C is doubled while K stays the real one: a
+    # ``GysinKernel`` derives K from C, so the fault is a stand-in
     def fault(law, n):
         k = real(law, n)
-        return types.SimpleNamespace(n=k.n, C=tuple(tuple(c * 2 for c in row) for row in k.C), K=k.K, cols=k.cols)
+        return types.SimpleNamespace(n=k.n, C=tuple(tuple(c * 2 for c in row) for row in k.C), K=k.K)
 
     return fault
 

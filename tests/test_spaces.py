@@ -1,18 +1,21 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orient_duality.algebra import CoeffRing
+from orient_duality.algebra import CoeffRing, RingKind
 from orient_duality.errors import (
     ParseError,
     RingMismatchError,
     SpaceMismatchError,
     TruncationUnsoundError,
 )
-from orient_duality.fgl import additive_law, multiplicative_law
+from orient_duality.fgl import NilPoly, additive_law, multiplicative_law
 from orient_duality.spaces import (
     CohClass,
     Diagonal,
+    HomClass,
     LinearEmbed,
     Permutation,
     Projection,
@@ -381,3 +384,32 @@ def test_render_frozen():
     c = CohClass(sp, RING, {(0, 0): RING.from_coeff(1), (1, 0): -beta, (1, 1): RING.from_coeff(3)})
     assert c.render() == "1 - beta*z1 + 3*z1*z2"
     assert CohClass.zero(sp, RING).render() == "0"
+
+
+def test_checked_constructors_refuse_a_coefficient_of_another_ring():
+    mult = CoeffRing(RingKind.MULTIPLICATIVE, 4)
+    b1 = CoeffRing(RingKind.UNIVERSAL, 4).gen(0)
+    message = r"^coefficient at \(1,\) is not an element of the class's ring$"
+    for cls in (CohClass, HomClass, NilPoly):
+        for bad in (b1, 3, None):
+            with pytest.raises(RingMismatchError, match=message):
+                cls(Space((2,)), mult, {(1,): bad})
+    # also where the quotient would drop the term
+    with pytest.raises(RingMismatchError, match=r"^coefficient at \(3,\) is not"):
+        CohClass(Space((2,)), mult, {(0,): mult.one(), (3,): b1})
+    # an equal ring built apart is the same ring
+    assert CohClass(Space((2,)), mult, {(1,): CoeffRing(RingKind.MULTIPLICATIVE, 4).gen(0)}).render() == "beta*z1"
+
+
+@pytest.mark.parametrize("bad", [("a",), (True, 1), (1.0,), (2, -1), (None,)])
+def test_space_refuses_factors_that_are_not_dimensions(bad):
+    value = next(n for n in bad if isinstance(n, bool) or not isinstance(n, int) or n < 0)
+    with pytest.raises(ValueError, match="^projective dimension %s is not an int >= 0$" % re.escape(repr(value))):
+        Space(bad)
+
+
+def test_space_stores_its_factors_as_a_tuple():
+    space = Space([1, 2])
+    assert space.factors == (1, 2) and space == Space((1, 2)) and hash(space) == hash(Space((1, 2)))
+    with pytest.raises(ValueError, match=r"^space factors 3 are not a tuple of dimensions$"):
+        Space(3)

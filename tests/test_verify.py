@@ -274,3 +274,16 @@ def test_sample_class_deterministic():
     c1 = sample_class(sp, law.ring, _derive_rng(1, "s"))
     c2 = sample_class(sp, law.ring, _derive_rng(1, "s"))
     assert c1 == c2
+
+
+def test_run_suite_refuses_a_law_override_that_does_not_match():
+    one = (Space((1,)),)
+    cfg = CheckConfig(theories=(RingKind.ADDITIVE,), spaces=one, truncation=4)
+    with pytest.raises(ValueError, match=r"^law override for RingKind\.ADDITIVE is a multiplicative law at truncation 4,"):
+        run_suite(cfg, laws={RingKind.ADDITIVE: multiplicative_law(4)}, checks=("V2-orientation",))
+    cfg = CheckConfig(theories=(RingKind.MULTIPLICATIVE,), spaces=one, truncation=4)
+    with pytest.raises(ValueError, match=r"^law override for RingKind\.MULTIPLICATIVE is a multiplicative law at truncation 7, not one of its kind at truncation 4$"):
+        run_suite(cfg, laws={RingKind.MULTIPLICATIVE: multiplicative_law(7)}, checks=("V2-orientation",))
+    # a matching override runs
+    [report] = run_suite(cfg, laws={RingKind.MULTIPLICATIVE: multiplicative_law(4)}, checks=("V2-orientation",))
+    assert report.status == "pass"
