@@ -111,8 +111,8 @@ class CoeffRing:
     def __post_init__(self):
         if not isinstance(self.kind, RingKind):
             raise ValueError("ring kind %r is not a RingKind" % (self.kind,))
-        if self.truncation < 1:
-            raise ValueError("truncation bound must be >= 1")
+        if type(self.truncation) is not int or self.truncation < 1:
+            raise ValueError("truncation bound %r is not an int >= 1" % (self.truncation,))
         radix, top, limit = None, 1, inf
         if self.kind is RingKind.UNIVERSAL:
             symbols = tuple("b%d" % m for m in range(1, self.truncation))

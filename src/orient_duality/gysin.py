@@ -8,9 +8,8 @@ over terms and linearly over the coefficient ring:
 * ``Projection`` X -> the kept factors, with fibre Y the product of the
   dropped ones:  alpha -> alpha / [Y] (``spaces.contract`` with [Y]), so z^e
   maps to [Y](e|dropped) * z^(e|keep), [Y] the fundamental class of Y.
-* ``Diagonal`` at factor t: alpha -> pull(alpha) * K, where pull forgets
-  the duplicated slot and K is the diagonal kernel of P^(n_t) pulled back
-  to the two slots.
+* ``Diagonal`` at factor t: z^e -> sum_ij C[i][j] z^(e[:t] + (e_t + i, j) + e[t+1:]),
+  the kernel K_n of P^(n_t) (below) in the two slots, read from its matrix C.
 * ``Permutation``: pullback along the inverse reordering.
 
 The diagonal kernel K = sum C_ij z1^i z2^j on P^n x P^n is determined by
@@ -30,14 +29,14 @@ Point classes enter through [P^n] and K_n only.  The point classes g_n
 (``fgl.pn_class``) are read in two places: the kernel K_n of P^n and the
 class [P^n](z^e) = g_(n-e), whose cross products are the fundamental
 classes [X] (``fundamental_class``, kept in the law's memo); every other
-formula puts these together by cross product, contraction or placement.
-The homological transposes f_* and f^! (``homodual``) use the same
-per-shape data: [fibre] for projections and ``placed_kernel``, K_n placed
-in two slots (``spaces.place``), for diagonals.
+formula puts these together by cross product, contraction, placement or
+a read of C.  The homological transposes f_* and f^! (``homodual``) use
+the same per-shape data: [fibre] for projections and C for diagonals.
 """
 
 from dataclasses import dataclass, field
 
+from .algebra import sum_products
 from .errors import SpaceMismatchError, RingMismatchError
 from .fgl import FGL, unit_reciprocal
 from .spaces import (
@@ -51,7 +50,6 @@ from .spaces import (
     Projection,
     Space,
     contract,
-    place,
 )
 
 
@@ -62,8 +60,8 @@ class GysinKernel:
     ``C`` is the two-sided inverse of the pairing matrix g_(n-k-l),
     ``C[i][j] = [x^(i+j-n)] 1/(g_0 + ... + g_n x^n)``.  Derived from it,
     once per kernel: ``n`` and the diagonal class ``K = sum C[i][j] z1^i
-    z2^j`` on P^n x P^n.  D_coh (``homodual.duality_to_coh``) reads ``C``
-    itself.
+    z2^j`` on P^n x P^n.  D_coh (``homodual.duality_to_coh``) and the
+    diagonal's Gysin maps read ``C`` itself.
     """
 
     C: tuple
@@ -92,7 +90,8 @@ def _solve_kernel(law: FGL, n: int) -> GysinKernel:
     return GysinKernel(tuple(tuple(h[i + j] for j in range(n + 1)) for i in range(n + 1)))  # h_(i+j-n)
 
 
-def _check_pushforward_args(f: Morphism, alpha: CohClass, law: FGL):
+def pushforward_coh(f: Morphism, alpha: CohClass, law: FGL) -> CohClass:
+    """Direct image f_!(alpha) on cohomology."""
     if alpha.space != f.source:
         raise SpaceMismatchError(
             "direct image along %s needs a class on %s, got one on %s"
@@ -100,11 +99,6 @@ def _check_pushforward_args(f: Morphism, alpha: CohClass, law: FGL):
         )
     if alpha.ring != law.ring:
         raise RingMismatchError("class and law use different coefficient rings")
-
-
-def pushforward_coh(f: Morphism, alpha: CohClass, law: FGL) -> CohClass:
-    """Direct image f_!(alpha) on cohomology."""
-    _check_pushforward_args(f, alpha, law)
     if isinstance(f, LinearEmbed):
         shift = f.target.factors[f.factor] - f.degree
         t = f.factor
@@ -113,7 +107,16 @@ def pushforward_coh(f: Morphism, alpha: CohClass, law: FGL) -> CohClass:
     if isinstance(f, Projection):
         return contract(alpha, fundamental_class(f.fibre, law), f.keep, f.dropped)
     if isinstance(f, Diagonal):
-        return diagonal_section(f).pullback(alpha) * placed_kernel(f, law)
+        # alpha in slot t times K_n in slots t, t+1: alpha_e * C[i][j] at (e_t + i, j), for i <= n - e_t
+        t, C = f.factor, kernel(law, f.source.factors[f.factor]).C
+        triples = [
+            (e[:t] + (e[t] + i, j) + e[t + 1 :], c, d)
+            for e, c in alpha.terms.items()
+            for i in range(len(C) - e[t])
+            for j, d in enumerate(C[i])
+            if d
+        ]
+        return alpha._like(sum_products(alpha.ring, triples), f.target)
     if isinstance(f, Permutation):
         return f.inverse().pullback(alpha)
     if isinstance(f, Composite):
@@ -121,21 +124,6 @@ def pushforward_coh(f: Morphism, alpha: CohClass, law: FGL) -> CohClass:
             alpha = pushforward_coh(part, alpha, law)
         return alpha
     raise TypeError("unknown morphism shape %r" % type(f).__name__)
-
-
-def placed_kernel(f: Diagonal, law: FGL) -> CohClass:
-    """The kernel of P^(n_t) pulled back to slots t, t+1 of ``f.target``,
-    so that f_!(alpha) = q^*(alpha) * placed_kernel(f) with
-    q = diagonal_section(f)."""
-    t = f.factor
-    return place(kernel(law, f.source.factors[t]).K, (t, t + 1), f.target)
-
-
-def diagonal_section(f: Diagonal) -> Projection:
-    """The projection of ``f.target`` onto ``f.source`` that forgets the
-    second copy of the duplicated factor."""
-    k = f.target.nfactors
-    return Projection(f.target, tuple(p for p in range(k) if p != f.factor + 1))
 
 
 def diamond_coh(f: Morphism, law: FGL):

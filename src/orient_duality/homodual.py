@@ -34,8 +34,7 @@ turn), which follows from the shape's pullback and Gysin map:
 * ``LinearEmbed``: f_* keeps every value at its tuple; f^! moves slot t
   down by n - m;
 * ``Diagonal``:    f_* spreads a(v) over the tuples that split v_t into
-  (i, v_t - i); f^! a = q_*(K_t cap a) with K_t the kernel pulled back to
-  the two slots and q the projection that forgets the second one;
+  (i, v_t - i); (f^! a)(u) = sum_ij C_(n_t)[i][j] a(u[:t] + (u_t + i, j) + u[t+1:]);
 * ``Permutation``: f_* reorders tuples by one gather; f^! = (f^-1)_*.
 
 Point classes enter through [P^n] and K_n: no formula here reads a point
@@ -46,9 +45,9 @@ the law's memo (``FGL.derived``).
 keys of alpha negated: each term e of alpha walks the box b <= n - e and
 looks a up at b + e, or tests every value of a where a has fewer values
 than that box.  The slants, ``pair`` (onto the point) and p_! are one
-contraction, ``spaces.contract``.  Each of these maps, and D_coh, which
-reads the kernel matrices C_n of ``gysin.kernel``, hands all its
-coefficient products to one call of ``algebra.sum_products``.
+contraction, ``spaces.contract``.  Each of these maps, and D_coh and the
+diagonal's f^!, which read the kernel matrices C_n of ``gysin.kernel``,
+hand all their coefficient products to one call of ``algebra.sum_products``.
 ``cross_hom`` is the shared external product.
 
 The projective bundle decomposition is realised by ``psi``/``pbt_section``
@@ -58,7 +57,7 @@ for projections that drop a single factor.
 from .algebra import RingElem, sum_products
 from .errors import RingMismatchError, SpaceMismatchError
 from .fgl import FGL
-from .gysin import diagonal_section, fundamental_class, kernel, placed_kernel
+from .gysin import fundamental_class, kernel
 from .spaces import (
     CohClass,
     Composite,
@@ -155,7 +154,15 @@ def shriek_hom(f: Morphism, a: HomClass, law: FGL) -> HomClass:
     if isinstance(f, Permutation):
         return pushforward_hom(f.inverse(), a)
     if isinstance(f, Diagonal):
-        return pushforward_hom(diagonal_section(f), cap(placed_kernel(f, law), a))
+        # K_n cap a, read where slot t+1 is 0: C[i][j] * a(w) at w[:t] + (w_t - i,) + w[t+2:], j = w_(t+1)
+        t, C = f.factor, kernel(law, f.source.factors[f.factor]).C
+        triples = [
+            (w[:t] + (w[t] - i,) + w[t + 2 :], d, c)
+            for w, c in a.terms.items()
+            for i in range(w[t] + 1)
+            if (d := C[i][w[t + 1]])
+        ]
+        return a._like(sum_products(a.ring, triples), f.source)
     if isinstance(f, Projection):
         # a x [fibre], its slots placed in the source's
         return place(a.cross(fundamental_class(f.fibre, law)), f.keep + f.dropped, f.source)

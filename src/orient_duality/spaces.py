@@ -17,8 +17,8 @@ its own range rule; ``CohClass`` drops out-of-bound exponents (the quotient
 relations), so equal classes always have equal term maps.  Results in
 range by construction only drop zeros (``SparseClass._trusted``): the
 operations here, ``contract`` and ``place``, ``pushforward_coh`` on
-embeddings, ``pushforward_hom``, ``shriek_hom``, both duality maps and
-``verify``'s samples.  Literals, ``monomial`` and the
+embeddings and diagonals, ``pushforward_hom``, ``shriek_hom``, both
+duality maps and ``verify``'s samples.  Literals, ``monomial`` and the
 pullbacks along ``LinearEmbed`` and ``Diagonal``, which rely on the
 quotient to drop out-of-box terms, keep the checked constructors.
 
@@ -38,8 +38,8 @@ tuple g and sums all their coefficient products in one call of
 One slot gather (``gather``) serves ``contract``, which sums
 c * small(e|match) at e|keep (the slants, the pairing and p_!(alpha) =
 alpha / [fibre]), and ``place``, which puts exponent i in slot slots[i]
-and 0 elsewhere (the projection and permutation pullbacks, a diagonal's
-kernel and p^!(a) = a x [fibre]).
+and 0 elsewhere (the projection and permutation pullbacks and
+p^!(a) = a x [fibre]).
 
 Morphisms come in four generator shapes plus composites:
 
@@ -295,9 +295,9 @@ class SparseClass:
     def _split_box(space: Space, ring: CoeffRing, terms: dict) -> tuple[dict, list]:
         """The nonzero terms in the box of ``space`` and the tuples outside
         it, checked in one pass per term: a wrong length raises
-        ``SpaceMismatchError``, then any negative exponent ``ValueError``,
-        then a coefficient that is not an element of ``ring``
-        ``RingMismatchError``."""
+        ``SpaceMismatchError``, then any exponent that is not an int (bools
+        and floats included) or is negative ``ValueError``, then a
+        coefficient that is not an element of ``ring`` ``RingMismatchError``."""
         inside, outside = {}, []
         bounds = space.factors
         for expo, c in terms.items():
@@ -305,6 +305,8 @@ class SparseClass:
                 raise SpaceMismatchError("exponent tuple %r does not fit %s" % (expo, space))
             fits = True
             for e, n in zip(expo, bounds):
+                if type(e) is not int:
+                    raise ValueError("exponent %r in %r is not an int" % (e, expo))
                 if e < 0:
                     raise ValueError("negative exponent in %r" % (expo,))
                 if e > n:

@@ -3,9 +3,9 @@
     python tests/mutate.py PATH FN OLD NEW
 
 replaces the first OLD at or after ``def FN(`` in the file PATH with NEW.
-The CI steps "Checks can fail" and "The kernel can fail" run it in a copy
-of the tree, once per ``run_mutant`` line; ``tests/test_ci_mutants.py``
-checks that each OLD lies inside its FN.
+The CI steps "Checks can fail", "The kernel can fail" and "Diagonal maps
+can fail" run it in a copy of the tree, once per ``run_mutant`` line;
+``tests/test_ci_mutants.py`` checks that each OLD lies inside its FN.
 """
 
 import sys

@@ -1,5 +1,5 @@
-"""The mutants of the CI steps "Checks can fail" and "The kernel can fail"
-stay in their functions.
+"""The mutants of the CI steps "Checks can fail", "The kernel can fail"
+and "Diagonal maps can fail" stay in their functions.
 
 Each step writes a one-line mutant per ``run_mutant path fn old new``
 line with ``tests/mutate.py``: it replaces the first ``old`` at or after
@@ -29,6 +29,8 @@ def test_workflow_runs_mutants():
     paths = [path for path, _, _ in _mutants()]
     assert paths.count("src/orient_duality/verify.py") >= 6
     assert paths.count("src/orient_duality/algebra.py") >= 2
+    assert paths.count("src/orient_duality/gysin.py") >= 1
+    assert paths.count("src/orient_duality/homodual.py") >= 1
 
 
 def test_each_mutant_anchor_lies_in_its_own_function():

@@ -616,6 +616,12 @@ def test_exit_2_on_integer_not_in_ascii_digits(capsys, argv, token):
     assert repr(token) in out.err
 
 
+def test_exit_2_on_truncation_below_one(capsys):
+    code, out, err = _run(capsys, "ring", "--theory", "universal", "--truncation", "0")
+    assert code == 2 and not out
+    assert err == "error: truncation bound 0 is not an int >= 1\n"
+
+
 def test_exit_3_on_unsound_truncation(capsys):
     code, _, err = _run(
         capsys, "verify", "--theory", "additive", "--space", "P2", "--truncation", "2"

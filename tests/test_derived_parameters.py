@@ -9,6 +9,7 @@ belong to no theory, are refused.
 
 import inspect
 import random
+import re
 
 import pytest
 
@@ -66,6 +67,16 @@ def test_ring_refuses_restated_or_foreign_inputs():
     with pytest.raises(ValueError, match=">= 1"):
         CoeffRing(RingKind.UNIVERSAL, 0)
     assert not hasattr(CoeffRing, "for_kind")
+
+
+@pytest.mark.parametrize("bad", [0, -2, True, False, 2.5, "3", None])
+def test_ring_refuses_a_truncation_that_is_not_an_int_from_one(bad):
+    message = r"^truncation bound %s is not an int >= 1$" % re.escape(repr(bad))
+    for kind in RingKind:
+        with pytest.raises(ValueError, match=message):
+            CoeffRing(kind, bad)
+    with pytest.raises(ValueError, match=message):
+        multiplicative_law(bad)
 
 
 def test_law_reads_its_truncation_from_its_ring():

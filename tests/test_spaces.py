@@ -401,6 +401,18 @@ def test_checked_constructors_refuse_a_coefficient_of_another_ring():
     assert CohClass(Space((2,)), mult, {(1,): CoeffRing(RingKind.MULTIPLICATIVE, 4).gen(0)}).render() == "beta*z1"
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False])
+def test_checked_constructors_refuse_an_exponent_that_is_not_an_int(bad):
+    # a float or bool exponent would render and print as JSON that does not read back
+    mult = CoeffRing(RingKind.MULTIPLICATIVE, 4)
+    message = r"^exponent %s in \(%s, 0\) is not an int$" % (re.escape(repr(bad)), re.escape(repr(bad)))
+    for cls in (CohClass, HomClass, NilPoly):
+        with pytest.raises(ValueError, match=message):
+            cls(Space((2, 2)), mult, {(bad, 0): mult.one()})
+    with pytest.raises(ValueError, match=r"^exponent 0.5 in \(0.5, 0\) is not an int$"):
+        CohClass(Space((1, 2)), mult, {(0, 0): mult.one(), (0.5, 0): mult.one()})
+
+
 @pytest.mark.parametrize("bad", [("a",), (True, 1), (1.0,), (2, -1), (None,)])
 def test_space_refuses_factors_that_are_not_dimensions(bad):
     value = next(n for n in bad if isinstance(n, bool) or not isinstance(n, int) or n < 0)
