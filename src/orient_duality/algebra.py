@@ -185,7 +185,7 @@ class CoeffRing:
         return _wrap(self, {0: 1})
 
     def from_coeff(self, c) -> "RingElem":
-        return _wrap(self, _canonical({0: c}))
+        return _wrap(self, _canonical({0: _exact(c)}))
 
     def gen(self, index: int) -> "RingElem":
         """The ``index``-th symbol as a ring element."""
@@ -199,6 +199,12 @@ class CoeffRing:
 
     def parse(self, text: str) -> "RingElem":
         return _parse_elem(self, text)
+
+
+def _exact(c):
+    if type(c) is not int and type(c) is not Fraction:  # a bool or a float is no exact coefficient
+        raise ValueError("coefficient %r is not an int or a Fraction" % (c,))
+    return c
 
 
 def _canonical(terms: dict) -> dict:
@@ -279,7 +285,7 @@ class RingElem:
         # keeps every construction path in the same quotient.
         packed = {}
         for expo, c in terms.items():
-            if c:
+            if _exact(c):
                 key = ring._pack(expo)
                 if key is not None:
                     packed[key] = c

@@ -21,20 +21,20 @@ which pins C as the inverse of the pairing matrix M with M[k][l] =
 g_(n-k-l).  M is the Hankel matrix of the point-class series
 G(x) = sum g_d x^d, with g_0 = 1, so its inverse is the Hankel matrix of
 one reciprocal: C[i][j] = [x^(i+j-n)] 1/G(x), zero for i + j < n, over any
-coefficient ring with no division (``fgl.unit_reciprocal``).  The
-kernels of P^n and the diagonal classes of product spaces are kept in the
-law's memo (``FGL.derived``).
+coefficient ring with no division (``fgl.unit_reciprocal``).  The kernel
+of P^n is its matrix C: ``kernel(law, n)`` returns the n + 1 rows of C,
+and no map builds K_n itself.  Only ``diagonal_kernel_class`` writes the
+diagonal class K_X of a product space out, as the Kronecker product of
+the C_n; the C_n and the K_X are kept in the law's memo (``FGL.derived``).
 
-Point classes enter through [P^n] and K_n only.  The point classes g_n
-(``fgl.pn_class``) are read in two places: the kernel K_n of P^n and the
+Point classes enter through [P^n] and C only.  The point classes g_n
+(``fgl.pn_class``) are read in two places: the matrix C of P^n and the
 class [P^n](z^e) = g_(n-e), whose cross products are the fundamental
 classes [X] (``fundamental_class``, kept in the law's memo); every other
 formula puts these together by cross product, contraction, placement or
 a read of C.  The homological transposes f_* and f^! (``homodual``) use
 the same per-shape data: [fibre] for projections and C for diagonals.
 """
-
-from dataclasses import dataclass, field
 
 from .algebra import sum_products
 from .errors import SpaceMismatchError, RingMismatchError
@@ -53,41 +53,21 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True)
-class GysinKernel:
-    """Diagonal data for one projective space P^n, built from ``C`` alone.
-
-    ``C`` is the two-sided inverse of the pairing matrix g_(n-k-l),
-    ``C[i][j] = [x^(i+j-n)] 1/(g_0 + ... + g_n x^n)``.  Derived from it,
-    once per kernel: ``n`` and the diagonal class ``K = sum C[i][j] z1^i
-    z2^j`` on P^n x P^n.  D_coh (``homodual.duality_to_coh``) and the
-    diagonal's Gysin maps read ``C`` itself.
-    """
-
-    C: tuple
-    n: int = field(init=False, compare=False)
-    K: CohClass = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        C, n = self.C, len(self.C) - 1
-        square = Space((n, n))  # refuses an empty C
-        K = CohClass(square, C[0][0].ring, {(i, j): c for i, row in enumerate(C) for j, c in enumerate(row)})
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "K", K)
-
-
-def kernel(law: FGL, n: int) -> GysinKernel:
-    """The diagonal kernel of P^n for the given law (memoised)."""
+def kernel(law: FGL, n: int) -> tuple:
+    """The matrix C of the diagonal kernel K_n = sum C[i][j] z1^i z2^j of
+    P^n, as its n + 1 rows: C[i][j] = h_(i+j-n), the two-sided inverse of
+    the pairing matrix g_(n-k-l) (memoised)."""
+    Space((n,))  # refuses a bad n before the memo, where True would read as 1
     return law.derived("kernel", n, lambda: _solve_kernel(law, n))
 
 
-def _solve_kernel(law: FGL, n: int) -> GysinKernel:
+def _solve_kernel(law: FGL, n: int) -> tuple:
     ring = law.ring
     g = [law.pn_class(d) for d in range(n + 1)]
     # C is the Hankel matrix of h = 1/G, G(x) = sum g_d x^d, as the pairing
     # matrix is G's: sum_k g_(n-i-k) h_(k+j-n) = [x^(j-i)] G h = delta_ij.
     h = [ring.zero()] * n + unit_reciprocal(ring, g)
-    return GysinKernel(tuple(tuple(h[i + j] for j in range(n + 1)) for i in range(n + 1)))  # h_(i+j-n)
+    return tuple(tuple(h[i + j] for j in range(n + 1)) for i in range(n + 1))  # h_(i+j-n)
 
 
 def pushforward_coh(f: Morphism, alpha: CohClass, law: FGL) -> CohClass:
@@ -108,7 +88,7 @@ def pushforward_coh(f: Morphism, alpha: CohClass, law: FGL) -> CohClass:
         return contract(alpha, fundamental_class(f.fibre, law), f.keep, f.dropped)
     if isinstance(f, Diagonal):
         # alpha in slot t times K_n in slots t, t+1: alpha_e * C[i][j] at (e_t + i, j), for i <= n - e_t
-        t, C = f.factor, kernel(law, f.source.factors[f.factor]).C
+        t, C = f.factor, kernel(law, f.source.factors[f.factor])
         triples = [
             (e[:t] + (e[t] + i, j) + e[t + 1 :], c, d)
             for e, c in alpha.terms.items()
@@ -148,7 +128,7 @@ def _diagonal_class(space: Space, law: FGL) -> CohClass:
     # product per tuple of sums, shared by every term (u, v) with that sum
     prods = {(): law.ring.one()}
     for n in space.factors:
-        h = kernel(law, n).C[n]
+        h = kernel(law, n)[n]
         prods = {s + (m,): p * h[m] for s, p in prods.items() for m in range(n + 1) if h[m]}
     terms = {}
     for s, p in prods.items():

@@ -37,9 +37,9 @@ turn), which follows from the shape's pullback and Gysin map:
   (i, v_t - i); (f^! a)(u) = sum_ij C_(n_t)[i][j] a(u[:t] + (u_t + i, j) + u[t+1:]);
 * ``Permutation``: f_* reorders tuples by one gather; f^! = (f^-1)_*.
 
-Point classes enter through [P^n] and K_n: no formula here reads a point
-class itself, only [X] and the kernels that ``gysin`` builds and keeps in
-the law's memo (``FGL.derived``).
+Point classes enter through [P^n] and C: no formula here reads a point
+class itself, only [X] and the kernel matrices C_n that ``gysin`` builds
+and keeps in the law's memo (``FGL.derived``).
 
 ``cap`` runs the cup product's kernel ``spaces.packed_pairs`` with the
 keys of alpha negated: each term e of alpha walks the box b <= n - e and
@@ -155,7 +155,7 @@ def shriek_hom(f: Morphism, a: HomClass, law: FGL) -> HomClass:
         return pushforward_hom(f.inverse(), a)
     if isinstance(f, Diagonal):
         # K_n cap a, read where slot t+1 is 0: C[i][j] * a(w) at w[:t] + (w_t - i,) + w[t+2:], j = w_(t+1)
-        t, C = f.factor, kernel(law, f.source.factors[f.factor]).C
+        t, C = f.factor, kernel(law, f.source.factors[f.factor])
         triples = [
             (w[:t] + (w[t] - i,) + w[t + 2 :], d, c)
             for w, c in a.terms.items()
@@ -240,7 +240,7 @@ def duality_to_coh(a: HomClass, law: FGL) -> CohClass:
         raise RingMismatchError("class and law use different coefficient rings")
     values = a.terms
     for t, n in enumerate(a.space.factors):
-        C = kernel(law, n).C
+        C = kernel(law, n)
         triples = [
             (v[:t] + (i,) + v[t + 1 :], c, d)
             for v, c in values.items()

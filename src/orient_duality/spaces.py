@@ -346,7 +346,9 @@ class SparseClass:
         return bool(self.terms)
 
     def coeff(self, expo: tuple[int, ...]) -> RingElem:
-        return self.terms.get(tuple(expo), self.ring.zero())
+        expo, zero = tuple(expo), self.ring.zero()
+        self._split_box(self.space, self.ring, {expo: zero})  # checked as a term's tuple; outside the box reads 0
+        return self.terms.get(expo, zero)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -469,7 +471,7 @@ class CohClass(SparseClass):
 
     @staticmethod
     def zeta(space: Space, ring: CoeffRing, t: int) -> "CohClass":
-        if not 0 <= t < space.nfactors:
+        if not 0 <= _index(t) < space.nfactors:
             raise ValueError("no factor with index %d" % t)
         expo = tuple(1 if i == t else 0 for i in range(space.nfactors))
         return CohClass.monomial(space, ring, expo)
@@ -560,6 +562,12 @@ class HomClass(SparseClass):
 # -- morphisms ------------------------------------------------------------
 
 
+def _index(t) -> int:
+    if type(t) is not int:  # a bool or a float is no factor index
+        raise ValueError("factor index %r is not an int" % (t,))
+    return t
+
+
 class Morphism:
     """Base class; concrete shapes define source, target and pullback."""
 
@@ -592,7 +600,7 @@ class Projection(Morphism):
     target: Space = field(init=False)
 
     def __post_init__(self):
-        keep = tuple(self.keep)
+        keep = tuple(map(_index, self.keep))
         if any(not 0 <= t < self.source.nfactors for t in keep):
             raise SpaceMismatchError("kept factor index out of range")
         if list(keep) != sorted(set(keep)):
@@ -627,7 +635,7 @@ class LinearEmbed(Morphism):
     source: Space = field(init=False)
 
     def __post_init__(self):
-        t, m = self.factor, self.degree
+        t, m = _index(self.factor), self.degree
         if not 0 <= t < self.target.nfactors:
             raise SpaceMismatchError("no factor with index %d" % t)
         if not 0 <= m <= self.target.factors[t]:
@@ -656,7 +664,7 @@ class Diagonal(Morphism):
     target: Space = field(init=False)
 
     def __post_init__(self):
-        t = self.factor
+        t = _index(self.factor)
         if not 0 <= t < self.source.nfactors:
             raise SpaceMismatchError("no factor with index %d" % t)
         fs = self.source.factors
@@ -685,7 +693,7 @@ class Permutation(Morphism):
     target: Space = field(init=False)
 
     def __post_init__(self):
-        perm = tuple(self.perm)
+        perm = tuple(map(_index, self.perm))
         if sorted(perm) != list(range(self.source.nfactors)):
             raise ValueError("%r is not a permutation of the factors" % (perm,))
         object.__setattr__(self, "perm", perm)

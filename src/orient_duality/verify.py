@@ -310,9 +310,10 @@ def _pbt(ctx: _Ctx):
 def _divisor_normalization(ctx: _Ctx):
     space, law, ring, rng = ctx.space, ctx.law, ctx.ring, ctx.rng
     if law.truncation >= 3 and any(n >= 1 for n in space.factors):
-        # the diagonal of P1 x P1 is a divisor of O(1, 1): the kernel from
-        # matrix inversion must match the Euler class from the law table
-        yield "kernel(1) = euler(O(1,1)) on P1xP1", kernel(law, 1).K, euler(Space((1, 1)), (1, 1), law), {}
+        # the diagonal of P1 x P1 is a divisor of O(1, 1): its class i_!(1),
+        # read from the inverted matrix C, must match the Euler class from the law table
+        k1 = pushforward_coh(Diagonal(Space((1,)), 0), CohClass.one(Space((1,)), ring), law)
+        yield "kernel(1) = euler(O(1,1)) on P1xP1", k1, euler(Space((1, 1)), (1, 1), law), {}
     for t in range(space.nfactors):
         if space.factors[t] < 1:
             continue
@@ -434,7 +435,7 @@ def _diag_recursion(ctx: _Ctx):
     for n in sorted(set(space.factors)):
         if n < 1:
             continue
-        C = kernel(law, n).C
+        C = kernel(law, n)
         g = law.pn_class(n)
         acc = ring.zero()
         for j in range(1, n + 1):
@@ -471,7 +472,7 @@ def _per_dimension(kind: str, stream, ctx: _Ctx):
 def _identity_decomposition(law: FGL, n: int):
     ring = law.ring
     pn = Space((n,))
-    C = kernel(law, n).C
+    C = kernel(law, n)
     embeds = [LinearEmbed(pn, 0, n - i) for i in range(n + 1)]
     projs = [Projection(Space((n, k)), (0,)) for k in range(n + 1)]
     for e in basis(pn):

@@ -2,18 +2,28 @@
 
     python tests/mutate.py PATH FN OLD NEW
 
-replaces the first OLD at or after ``def FN(`` in the file PATH with NEW.
-The CI steps "Checks can fail", "The kernel can fail" and "Diagonal maps
-can fail" run it in a copy of the tree, once per ``run_mutant`` line;
-``tests/test_ci_mutants.py`` checks that each OLD lies inside its FN.
+replaces the first OLD at or after the ``def`` of FN in the file PATH
+with NEW.  FN names a top-level function, or a method as ``Class.name``.
+The CI step "Mutants fail their tests" runs it in a copy of the tree,
+once per ``run_mutant`` line; ``tests/test_ci_mutants.py`` checks that
+each OLD lies inside its FN.
 """
 
+import re
 import sys
 
 
+def def_offset(text: str, fn: str) -> int:
+    """The offset of the line ``def fn(`` in ``text``; for ``Class.name``,
+    the first ``    def name(`` after the line ``class Class``."""
+    cls, _, name = fn.rpartition(".")
+    start = re.search(r"^class %s\b" % re.escape(cls), text, re.M).start() if cls else 0
+    return text.index("\n%sdef %s(" % ("    " if cls else "", name), start) + 1
+
+
 def anchor(text: str, fn: str, old: str) -> int:
-    """The offset of the first ``old`` at or after ``def fn(`` in ``text``."""
-    return text.index(old, text.index("\ndef %s(" % fn))
+    """The offset of the first ``old`` at or after the ``def`` of ``fn``."""
+    return text.index(old, def_offset(text, fn))
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -289,3 +290,17 @@ def test_sum_products_matches_a_tuple_oracle(ring, seed):
     assert 7 not in got
     if ring.kind is RingKind.UNIVERSAL:
         assert got[8] == mono(6, 0, 0, 0, 0) and 9 not in got
+
+
+@pytest.mark.parametrize("bad", [2.5, 1.0, True, False, "2", None])
+def test_coefficients_are_exact(bad):
+    # a float or a bool would be kept as it is: 2.5 rendered as 2.5*beta
+    ring = CoeffRing.multiplicative(4)
+    message = r"^coefficient %s is not an int or a Fraction$" % re.escape(repr(bad))
+    with pytest.raises(ValueError, match=message):
+        RingElem(ring, {(1,): bad})
+    with pytest.raises(ValueError, match=message):
+        ring.from_coeff(bad)
+    # Fractions stay allowed in the integer rings: a table law's logarithm needs them
+    assert RingElem(ring, {(1,): Fraction(1, 2)}).render() == "1/2*beta"
+    assert ring.from_coeff(Fraction(6, 3)) == ring.from_coeff(2) and type(ring.from_coeff(Fraction(6, 3))._t[0]) is int

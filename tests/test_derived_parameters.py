@@ -1,7 +1,7 @@
 """Values the code works out are not parameters.
 
 A ring is fixed by its kind and truncation, a law by its ring and table,
-a kernel by its matrix C and a report's status by its witness.  Each test
+and a report's status by its witness.  Each test
 here checks that the derived value is the one the old, wider signatures
 took, and that the wider signatures, which could build objects that
 belong to no theory, are refused.
@@ -17,7 +17,6 @@ from orient_duality import spaces, verify
 from orient_duality.algebra import CoeffRing, RingKind
 from orient_duality.errors import RingMismatchError, TruncationUnsoundError
 from orient_duality.fgl import FGL, NilPoly, multiplicative_law, universal_law
-from orient_duality.gysin import GysinKernel, kernel
 from orient_duality.spaces import CohClass, HomClass, Space
 from orient_duality.verify import CheckReport
 
@@ -107,17 +106,6 @@ def test_law_checks_its_table_once():
     for value in (-1, None, CoeffRing.multiplicative(5).gen(0), CoeffRing.universal(4).gen(0)):
         with pytest.raises(RingMismatchError, match=r"a\(1,1\) is not an element"):
             FGL(ring, {(1, 1): value})
-
-
-@pytest.mark.parametrize("law", [multiplicative_law(6), universal_law(6)], ids=["multiplicative", "universal"])
-def test_kernel_is_built_from_c_alone(law):
-    for n in range(4):
-        k = kernel(law, n)
-        again = GysinKernel(k.C)
-        assert again == k and (again.n, again.K) == (n, k.K)
-        assert again.K.space == Space((n, n))
-        with pytest.raises(TypeError):
-            GysinKernel(n, k.C, k.K)
 
 
 def test_report_status_follows_from_its_witness():

@@ -47,8 +47,9 @@ def _section(f: Diagonal) -> Projection:
 
 
 def _placed_kernel(f: Diagonal, law) -> CohClass:
-    t = f.factor
-    return place(kernel(law, f.source.factors[t]).K, (t, t + 1), f.target)
+    t, n = f.factor, f.source.factors[f.factor]
+    K_n = CohClass(Space((n, n)), law.ring, {(i, j): c for i, row in enumerate(kernel(law, n)) for j, c in enumerate(row)})
+    return place(K_n, (t, t + 1), f.target)
 
 
 def oracle_push(f, alpha, law):

@@ -428,7 +428,7 @@ def test_mutant_kernels_do_not_leak_into_original():
     assert kernel(mut, 1) is kernel(law, 1)
     kernel(mut, 3)
     assert 3 not in memo_args(law, "kernel")
-    assert kernel(law, 3).K == kernel(multiplicative_law(6), 3).K
+    assert kernel(law, 3) == kernel(multiplicative_law(6), 3)
 
 
 def test_inverse_recursion_runs_once_per_law_on_grid(monkeypatch):
@@ -580,7 +580,9 @@ def test_series_is_a_one_variable_nilpoly():
     ring = CoeffRing.additive(3)
     s = Series.make(ring, 3, [0, 1, 0, 2, 5])  # the x^4 term is dropped
     assert s.coeffs == tuple(ring.from_coeff(c) for c in (0, 1, 0, 2))
-    assert s[4] == ring.zero() and s[-1] == ring.zero()
+    assert s[4] == ring.zero()
+    with pytest.raises(ValueError, match=r"^negative exponent in \(-1,\)$"):
+        s[-1]
     assert s.terms == {(1,): ring.one(), (3,): ring.from_coeff(2)}
     assert s * s == Series.make(ring, 3, [0, 0, 1])
     flat = NilPoly(Space((3,)), ring, dict(s.terms))

@@ -90,7 +90,8 @@ def test_law_data_is_homogeneous(kind):
         assert ring_degrees(a) <= {1 - i - j}, (i, j)  # a zero a_ij is homogeneous too
     for n in range(N):
         assert ring_degrees(law.pn_class(n)) == {-n}, n
-        assert_degree(kernel(law, n).K, n, "K_%d" % n)
+        K_n = CohClass(Space((n, n)), law.ring, {(i, j): c for i, row in enumerate(kernel(law, n)) for j, c in enumerate(row)})
+        assert_degree(K_n, n, "K_%d" % n)
 
 
 @pytest.mark.parametrize("kind", LAWS)

@@ -53,7 +53,7 @@ def laws():
 
 def test_c_matrix_additive_antidiagonal(laws):
     law = laws["additive"]
-    C = kernel(law, 2).C
+    C = kernel(law, 2)
     one, zero = law.ring.one(), law.ring.zero()
     assert C == ((zero, zero, one), (zero, one, zero), (one, zero, zero))
 
@@ -61,7 +61,7 @@ def test_c_matrix_additive_antidiagonal(laws):
 def test_c_matrix_multiplicative_frozen(laws):
     law = laws["multiplicative"]
     beta = law.ring.gen(0)
-    C = kernel(law, 2).C
+    C = kernel(law, 2)
     z = law.ring.zero()
     assert C == ((z, z, law.ring.one()), (z, law.ring.one(), -beta), (law.ring.one(), -beta, z))
 
@@ -69,7 +69,7 @@ def test_c_matrix_multiplicative_frozen(laws):
 def test_c_matrix_universal_frozen(laws):
     law = laws["universal"]
     b1 = law.ring.gen(0)
-    C = kernel(law, 1).C
+    C = kernel(law, 1)
     assert C == ((law.ring.zero(), law.ring.one()), (law.ring.one(), -2 * b1))
 
 
@@ -79,7 +79,7 @@ def test_c_inverts_m_both_sides(laws, kind, n):
     # the pairing matrix M[k][l] = g_(n-k-l), built here from the point
     # classes rather than by the code that builds C
     law = laws[kind]
-    C = kernel(law, n).C
+    C = kernel(law, n)
     size = n + 1
     M = [
         [law.pn_class(n - k - l) if k + l <= n else law.ring.zero() for l in range(size)]
@@ -97,7 +97,7 @@ def test_c_inverts_m_both_sides(laws, kind, n):
 @pytest.mark.parametrize("kind", ["additive", "multiplicative", "universal"])
 def test_c_symmetric(laws, kind):
     law = laws[kind]
-    C = kernel(law, 4).C
+    C = kernel(law, 4)
     for i in range(5):
         for j in range(5):
             assert C[i][j] == C[j][i]
@@ -113,7 +113,7 @@ def test_c_entries_from_series_inverse(laws):
     inv = sympy.series(1 / sum(beta**d * x**d for d in range(N)), x, 0, 6).removeO()
     inv = sympy.expand(inv)
     n = 3
-    C = kernel(law, n).C
+    C = kernel(law, n)
     for i in range(n + 1):
         for j in range(n + 1):
             d = i + j - n
@@ -130,7 +130,7 @@ def test_kernel_defining_property(laws, kind, n):
     # p1_!(K . p2^* alpha) = alpha for every basis class
     law = laws[kind]
     sq = Space((n, n))
-    K = kernel(law, n).K
+    K = CohClass(sq, law.ring, {(i, j): c for i, row in enumerate(kernel(law, n)) for j, c in enumerate(row)})
     p1 = Projection(sq, (0,))
     p2 = Projection(sq, (1,))
     for e in basis(p1.target):
@@ -141,8 +141,8 @@ def test_kernel_defining_property(laws, kind, n):
 def test_kernel_shape_mult_frozen(laws):
     law = laws["multiplicative"]
     beta = law.ring.gen(0)
-    K = kernel(law, 1).K
     sq = Space((1, 1))
+    K = CohClass(sq, law.ring, {(i, j): c for i, row in enumerate(kernel(law, 1)) for j, c in enumerate(row)})
     z1 = CohClass.zeta(sq, law.ring, 0)
     z2 = CohClass.zeta(sq, law.ring, 1)
     assert K == z1 + z2 - (z1 * z2) * beta
@@ -199,7 +199,7 @@ def test_diagonal_pushforward_of_one_is_kernel(laws):
     for law in laws.values():
         d = Diagonal(Space((1,)), 0)
         got = pushforward_coh(d, CohClass.one(Space((1,)), law.ring), law)
-        assert got == kernel(law, 1).K
+        assert got == CohClass(Space((1, 1)), law.ring, {(i, j): c for i, row in enumerate(kernel(law, 1)) for j, c in enumerate(row)})
 
 
 def test_permutation_pushforward_scatters(laws):
@@ -291,6 +291,24 @@ def test_pushforward_rejects_wrong_ring(laws):
 def test_kernel_rejects_bad_degree(laws):
     with pytest.raises(ValueError):
         kernel(laws["additive"], -1)
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative", "universal"])
+def test_kernel_is_its_matrix_c(laws, kind):
+    # kernel(law, n) is C itself, memoised: n + 1 rows of n + 1 ring
+    # elements, whose K_n = sum C[i][j] z1^i z2^j is the diagonal class of P^n
+    law = laws[kind]
+    for n in range(7):
+        C = kernel(law, n)
+        assert type(C) is tuple and len(C) == n + 1
+        assert all(type(row) is tuple and len(row) == n + 1 for row in C)
+        assert all(c.ring is law.ring for row in C for c in row)
+        assert kernel(law, n) is C
+        K_n = CohClass(Space((n, n)), law.ring, {(i, j): c for i, row in enumerate(C) for j, c in enumerate(row)})
+        assert diagonal_kernel_class(Space((n,)), law) == K_n, n
+    for bad in (-1, -3, True, False, 1.0, "1", None):
+        with pytest.raises(ValueError, match=r"^projective dimension .* is not an int >= 0$"):
+            kernel(law, bad)
 
 
 @pytest.mark.parametrize("kind", ["additive", "multiplicative", "universal"])

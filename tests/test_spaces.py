@@ -11,7 +11,7 @@ from orient_duality.errors import (
     SpaceMismatchError,
     TruncationUnsoundError,
 )
-from orient_duality.fgl import NilPoly, additive_law, multiplicative_law
+from orient_duality.fgl import NilPoly, Series, additive_law, multiplicative_law
 from orient_duality.spaces import (
     CohClass,
     Diagonal,
@@ -425,3 +425,59 @@ def test_space_stores_its_factors_as_a_tuple():
     assert space.factors == (1, 2) and space == Space((1, 2)) and hash(space) == hash(Space((1, 2)))
     with pytest.raises(ValueError, match=r"^space factors 3 are not a tuple of dimensions$"):
         Space(3)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])
+def test_factor_indices_must_be_ints(bad):
+    # a bool index would be read as 0 or 1, a float one end in a bare TypeError
+    X = Space((1, 2))
+    builds = (
+        lambda: Diagonal(X, bad),
+        lambda: LinearEmbed(X, bad, 1),
+        lambda: Projection(X, (bad,)),
+        lambda: Permutation(X, (bad, 0)),
+        lambda: CohClass.zeta(X, RING, bad),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match=r"^factor index %s is not an int$" % re.escape(repr(bad))):
+            build()
+
+
+def test_out_of_range_factor_indices_keep_their_messages():
+    X = Space((1, 2))
+    with pytest.raises(SpaceMismatchError, match=r"^no factor with index 2$"):
+        Diagonal(X, 2)
+    with pytest.raises(SpaceMismatchError, match=r"^no factor with index -1$"):
+        LinearEmbed(X, -1, 0)
+    with pytest.raises(SpaceMismatchError, match=r"^kept factor index out of range$"):
+        Projection(X, (2,))
+    with pytest.raises(ValueError, match=r"^\(0, 0\) is not a permutation of the factors$"):
+        Permutation(X, (0, 0))
+    with pytest.raises(ValueError, match=r"^no factor with index 2$"):
+        CohClass.zeta(X, RING, 2)
+
+
+@pytest.mark.parametrize("bad", [1.0, True])
+def test_coefficient_lookups_check_the_tuple(bad):
+    # (1.0, 0) and (True, 0) hash as (1, 0), so unchecked they read its coefficient
+    sp, one, zero = Space((1, 2)), RING.one(), RING.zero()
+    for x, look in ((CohClass.zeta(sp, RING, 0), CohClass.coeff), (HomClass.delta(sp, RING, (1, 0)), HomClass.value)):
+        assert look(x, (1, 0)) == one and look(x, [1, 0]) == one and look(x, (0, 0)) == zero
+        assert look(x, (2, 0)) == zero and look(x, (1, 3)) == zero  # in length, outside the box
+        with pytest.raises(ValueError, match=r"^exponent %s in \(%s, 0\) is not an int$" % (bad, bad)):
+            look(x, (bad, 0))
+        with pytest.raises(ValueError, match=r"^negative exponent in \(1, -1\)$"):
+            look(x, (1, -1))
+        with pytest.raises(SpaceMismatchError, match=r"^exponent tuple \(1,\) does not fit P1xP2$"):
+            look(x, (1,))
+    s = Series.identity(RING, 3)
+    assert s[1] == one and s[4] == zero
+    with pytest.raises(ValueError, match=r"^exponent %s in \(%s,\) is not an int$" % (bad, bad)):
+        s[bad]
+
+
+def test_a_monomial_coefficient_is_exact():
+    with pytest.raises(ValueError, match=r"^coefficient True is not an int or a Fraction$"):
+        CohClass.monomial(Space((1,)), RING, (1,), coeff=True)
+    with pytest.raises(ValueError, match=r"^coefficient True is not an int or a Fraction$"):
+        HomClass.delta(Space((1,)), RING, (1,), coeff=True)
