@@ -52,10 +52,13 @@ Rendering reads each monomial key through the ring instance's memo of
 (sort key, factor text), ``CoeffRing._render_memo``, which lives as long
 as that instance: equal rings built apart keep separate memos, and each
 CLI call, which builds its own ring, renders cold.
+
+``Record`` is the one base of the package's frozen values (ring descriptors,
+spaces, morphisms, the suite's configuration and reports); it needs no
+``dataclasses``, whose import and decorators cost more than the rest of the load.
 """
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import inf
@@ -77,8 +80,41 @@ class RingKind(Enum):
         raise ParseError("unknown theory %r (expected additive, multiplicative or universal)" % name)
 
 
-@dataclass(frozen=True)
-class CoeffRing:
+class Record:
+    """A frozen value: ``==`` (``NotImplemented`` for another class), ``hash``
+    and the repr ``Name(field=value, ...)`` run over the fields ``_fields`` names,
+    set once in ``__init__``; assigning or deleting one raises ``AttributeError``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields)
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class CoeffRing(Record):
     """Descriptor of a graded coefficient ring and its monomial key layout.
 
     ``CoeffRing(kind, truncation)`` fixes everything else: the symbols
@@ -86,8 +122,7 @@ class CoeffRing:
     ``symbols[i]`` in degree ``symbol_degrees[i]`` (always negative).
     Descriptors compare structurally; operations require equal descriptors,
     and equal descriptors have the same layout.  The symbol table and the
-    layout (see the module docstring) are computed once, in
-    ``__post_init__``:
+    layout (see the module docstring) are computed once, in ``__init__``:
 
     * ``_radix``: R = 2N + 1 in the universal ring, else None (keys are
       exponents there);
@@ -96,37 +131,40 @@ class CoeffRing:
     * ``_limit``: (N + 1)*(R^n + 1), the key of b1^(N+1), the smallest
       key of a monomial that truncation drops, or ``inf`` where nothing is
       truncated;
-    * ``_render_memo``: this instance's own render memo, outside ``==`` and ``hash``.
+    * ``_render_memo``: this instance's own render memo, outside ``==``,
+      ``hash`` and the repr, which show the four public fields.
     """
 
-    kind: RingKind
-    truncation: int
-    symbols: tuple[str, ...] = field(init=False)
-    symbol_degrees: tuple[int, ...] = field(init=False)
-    _radix: int | None = field(init=False, repr=False, compare=False)
-    _top: int = field(init=False, repr=False, compare=False)
-    _limit: int | float = field(init=False, repr=False, compare=False)
-    _render_memo: dict = field(init=False, repr=False, compare=False)
+    _fields = ("kind", "truncation", "symbols", "symbol_degrees")
 
-    def __post_init__(self):
-        if not isinstance(self.kind, RingKind):
-            raise ValueError("ring kind %r is not a RingKind" % (self.kind,))
-        if type(self.truncation) is not int or self.truncation < 1:
-            raise ValueError("truncation bound %r is not an int >= 1" % (self.truncation,))
+    def __init__(self, kind: RingKind, truncation: int):
+        if not isinstance(kind, RingKind):
+            raise ValueError("ring kind %r is not a RingKind" % (kind,))
+        if type(truncation) is not int or truncation < 1:
+            raise ValueError("truncation bound %r is not an int >= 1" % (truncation,))
         radix, top, limit = None, 1, inf
-        if self.kind is RingKind.UNIVERSAL:
-            symbols = tuple("b%d" % m for m in range(1, self.truncation))
-            degrees = tuple(-m for m in range(1, self.truncation))
-            radix = 2 * self.truncation + 1
+        if kind is RingKind.UNIVERSAL:
+            symbols = tuple("b%d" % m for m in range(1, truncation))
+            degrees = tuple(-m for m in range(1, truncation))
+            radix = 2 * truncation + 1
             top = radix ** len(symbols)
-            limit = (self.truncation + 1) * (top + 1)
-        elif self.kind is RingKind.MULTIPLICATIVE:
+            limit = (truncation + 1) * (top + 1)
+        elif kind is RingKind.MULTIPLICATIVE:
             symbols, degrees = ("beta",), (-1,)
         else:
             symbols, degrees = (), ()
-        for name, value in (("symbols", symbols), ("symbol_degrees", degrees), ("_radix", radix), ("_top", top),
-                            ("_limit", limit), ("_render_memo", {})):
+        for name, value in (("kind", kind), ("truncation", truncation), ("symbols", symbols),
+                            ("symbol_degrees", degrees), ("_radix", radix), ("_top", top), ("_limit", limit),
+                            ("_render_memo", {})):
             object.__setattr__(self, name, value)  # not through vars(self): that slows every attribute read
+
+    def __eq__(self, other):  # direct, not through ``_values``: rings are compared on the hot path
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind is other.kind and self.truncation == other.truncation  # they fix the symbols
+
+    def __hash__(self):
+        return hash((self.kind, self.truncation, self.symbols, self.symbol_degrees))
 
     @staticmethod
     def additive(truncation: int) -> "CoeffRing":

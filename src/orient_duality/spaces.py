@@ -49,17 +49,18 @@ Morphisms come in four generator shapes plus composites:
 * ``Permutation`` -- reorder factors.
 
 Each knows its pullback on classes; the direct images live in ``gysin``
-since they depend on the group law.
+since they depend on the group law.  Spaces and morphisms are frozen
+records (``algebra.Record``): equal, with equal hashes, when their fields
+are equal, the derived space of a morphism included.
 """
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import itemgetter
 
-from .algebra import CoeffRing, RingElem, sum_products
+from .algebra import CoeffRing, Record, RingElem, sum_products
 from .errors import (
     ParseError,
     RingMismatchError,
@@ -70,17 +71,24 @@ from .errors import (
 _SPACE_RE = re.compile(r"^P([0-9]+)(xP[0-9]+)*$")
 
 
-@dataclass(frozen=True)
-class Space:
-    factors: tuple[int, ...]
+class Space(Record):
+    _fields = ("factors",)
 
-    def __post_init__(self):
-        if not isinstance(self.factors, (tuple, list)):
-            raise ValueError("space factors %r are not a tuple of dimensions" % (self.factors,))
-        for n in self.factors:
+    def __init__(self, factors: tuple[int, ...]):
+        if not isinstance(factors, (tuple, list)):
+            raise ValueError("space factors %r are not a tuple of dimensions" % (factors,))
+        for n in factors:
             if isinstance(n, bool) or not isinstance(n, int) or n < 0:
                 raise ValueError("projective dimension %r is not an int >= 0" % (n,))
-        object.__setattr__(self, "factors", tuple(self.factors))  # a list would make the space unhashable
+        object.__setattr__(self, "factors", tuple(factors))  # a list would make the space unhashable
+
+    def __eq__(self, other):  # direct, not through ``_values``: spaces are memo keys on the hot path
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self):
+        return hash((self.factors,))
 
     @staticmethod
     def point() -> "Space":
@@ -328,10 +336,12 @@ class SparseClass:
     @classmethod
     def monomial(cls, space: Space, ring: CoeffRing, expo: tuple[int, ...], coeff=None):
         """The class with one term, coefficient 1 unless given."""
+        if not isinstance(expo, (tuple, list)):
+            raise ValueError("exponents %r are not a tuple of ints" % (expo,))
         if coeff is None:
             coeff = ring.one()
-        elif isinstance(coeff, (int, Fraction)):
-            coeff = ring.from_coeff(coeff)
+        elif not isinstance(coeff, RingElem):
+            coeff = ring.from_coeff(coeff)  # refuses a bool or a float by name
         return cls(space, ring, {tuple(expo): coeff})
 
     # -- structure -------------------------------------------------------
@@ -568,7 +578,13 @@ def _index(t) -> int:
     return t
 
 
-class Morphism:
+def _indices(raw, what: str) -> tuple[int, ...]:
+    if not isinstance(raw, (tuple, list)):
+        raise ValueError("%s %r are not a tuple of factor indices" % (what, raw))
+    return tuple(map(_index, raw))
+
+
+class Morphism(Record):
     """Base class; concrete shapes define source, target and pullback."""
 
     source: Space
@@ -591,22 +607,18 @@ class Morphism:
         return "%s: %s -> %s" % (self.render(), self.source, self.target)
 
 
-@dataclass(frozen=True, repr=False)
 class Projection(Morphism):
     """Forget all factors outside ``keep`` (an increasing index tuple)."""
 
-    source: Space
-    keep: tuple[int, ...]
-    target: Space = field(init=False)
+    _fields = ("source", "keep", "target")
 
-    def __post_init__(self):
-        keep = tuple(map(_index, self.keep))
-        if any(not 0 <= t < self.source.nfactors for t in keep):
+    def __init__(self, source: Space, keep: tuple[int, ...]):
+        keep = _indices(keep, "kept factors")
+        if any(not 0 <= t < source.nfactors for t in keep):
             raise SpaceMismatchError("kept factor index out of range")
         if list(keep) != sorted(set(keep)):
             raise ValueError("kept factors must be strictly increasing")
-        object.__setattr__(self, "keep", keep)
-        object.__setattr__(self, "target", Space(tuple(self.source.factors[t] for t in keep)))
+        self._set(source, keep, Space(tuple(source.factors[t] for t in keep)))
 
     @cached_property
     def dropped(self) -> tuple[int, ...]:
@@ -625,26 +637,22 @@ class Projection(Morphism):
         return "proj(%s)" % ",".join(str(t) for t in self.keep)
 
 
-@dataclass(frozen=True, repr=False)
 class LinearEmbed(Morphism):
     """A linear subspace P^degree inside factor ``factor`` of the target."""
 
-    target: Space
-    factor: int
-    degree: int
-    source: Space = field(init=False)
+    _fields = ("target", "factor", "degree", "source")
 
-    def __post_init__(self):
-        t, m = _index(self.factor), self.degree
-        if not 0 <= t < self.target.nfactors:
+    def __init__(self, target: Space, factor: int, degree: int):
+        t, m = _index(factor), degree
+        if not 0 <= t < target.nfactors:
             raise SpaceMismatchError("no factor with index %d" % t)
-        if not 0 <= m <= self.target.factors[t]:
+        if not 0 <= m <= target.factors[t]:
             raise SpaceMismatchError(
-                "cannot embed P%d linearly in P%d" % (m, self.target.factors[t])
+                "cannot embed P%d linearly in P%d" % (m, target.factors[t])
             )
-        fs = list(self.target.factors)
+        fs = list(target.factors)
         fs[t] = m
-        object.__setattr__(self, "source", Space(tuple(fs)))
+        self._set(target, factor, degree, Space(tuple(fs)))
 
     def pullback(self, alpha: CohClass) -> CohClass:
         self._check_target_class(alpha)
@@ -655,20 +663,17 @@ class LinearEmbed(Morphism):
         return "embed(%d,%d)" % (self.factor, self.target.factors[self.factor])
 
 
-@dataclass(frozen=True, repr=False)
 class Diagonal(Morphism):
     """Duplicate factor ``factor`` into two adjacent slots."""
 
-    source: Space
-    factor: int
-    target: Space = field(init=False)
+    _fields = ("source", "factor", "target")
 
-    def __post_init__(self):
-        t = _index(self.factor)
-        if not 0 <= t < self.source.nfactors:
+    def __init__(self, source: Space, factor: int):
+        t = _index(factor)
+        if not 0 <= t < source.nfactors:
             raise SpaceMismatchError("no factor with index %d" % t)
-        fs = self.source.factors
-        object.__setattr__(self, "target", Space(fs[: t + 1] + (fs[t],) + fs[t + 1 :]))
+        fs = source.factors
+        self._set(source, factor, Space(fs[: t + 1] + (fs[t],) + fs[t + 1 :]))
 
     def pullback(self, alpha: CohClass) -> CohClass:
         self._check_target_class(alpha)
@@ -684,20 +689,16 @@ class Diagonal(Morphism):
         return "diag(%d)" % self.factor
 
 
-@dataclass(frozen=True, repr=False)
 class Permutation(Morphism):
     """Reorder factors: the image point has coordinates x[perm[i]]."""
 
-    source: Space
-    perm: tuple[int, ...]
-    target: Space = field(init=False)
+    _fields = ("source", "perm", "target")
 
-    def __post_init__(self):
-        perm = tuple(map(_index, self.perm))
-        if sorted(perm) != list(range(self.source.nfactors)):
+    def __init__(self, source: Space, perm: tuple[int, ...]):
+        perm = _indices(perm, "permuted factors")
+        if sorted(perm) != list(range(source.nfactors)):
             raise ValueError("%r is not a permutation of the factors" % (perm,))
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "target", Space(tuple(self.source.factors[p] for p in perm)))
+        self._set(source, perm, Space(tuple(source.factors[p] for p in perm)))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.perm)
@@ -717,16 +718,13 @@ class Permutation(Morphism):
         return "perm(%s)" % ",".join(str(p) for p in self.perm)
 
 
-@dataclass(frozen=True, repr=False)
 class Composite(Morphism):
     """parts[0] after parts[1] after ... after parts[-1]."""
 
-    parts: tuple[Morphism, ...]
-    source: Space = field(init=False)
-    target: Space = field(init=False)
+    _fields = ("parts", "source", "target")
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    def __init__(self, parts: tuple[Morphism, ...]):
+        parts = tuple(parts)
         if not parts:
             raise ValueError("a composite needs at least one part")
         for f, g in zip(parts, parts[1:]):
@@ -734,9 +732,7 @@ class Composite(Morphism):
                 raise SpaceMismatchError(
                     "cannot compose %s after %s: %s != %s" % (f.render(), g.render(), f.source, g.target)
                 )
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "source", parts[-1].source)
-        object.__setattr__(self, "target", parts[0].target)
+        self._set(parts, parts[-1].source, parts[0].target)
 
     def pullback(self, alpha: CohClass) -> CohClass:
         self._check_target_class(alpha)
@@ -838,6 +834,9 @@ def euler(space: Space, degrees: tuple[int, ...], law) -> CohClass:
     its logarithm.  Exact only when total dimension + 1 <= truncation."""
     if len(degrees) != space.nfactors:
         raise SpaceMismatchError("need one twist degree per factor")
+    for d in degrees:
+        if type(d) is not int:  # a bool or a float is no twist degree
+            raise ValueError("twist degree %r is not an int" % (d,))
     if space.total_dim + 1 > law.truncation:
         raise TruncationUnsoundError(
             "Euler class on %s (dimension %d) needs truncation >= %d, law has %d"

@@ -6,6 +6,7 @@ Every check is a stream of exact polynomial identities, each yielded as
 witness is the first unequal pair: the identity, both sides and the
 inputs, rendered.  The runner counts the pairs each cell compares in
 ``CheckReport.identities``, which neither output format prints.
+``CheckConfig`` and ``CheckReport`` are frozen records (``algebra.Record``).
 Sampling is deterministic: each (check, theory, space) cell derives its
 own generator from the configured seed, so reports are byte-identical
 across runs and independent of execution order.  Samples draw with
@@ -36,14 +37,12 @@ V15 up-then-down: p_* p^! = p_!(1) cap -
 V16 slant/cap/cross calculus and functoriality
 """
 
-import hashlib
 import json
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .algebra import CoeffRing, RingKind, _wrap
+from .algebra import CoeffRing, Record, RingKind, _wrap
 from .errors import CalculatorError, TruncationUnsoundError
 from .fgl import FGL, apply_law, check_axioms, law_for
 from .gysin import (
@@ -85,49 +84,44 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True)
-class CheckConfig:
+class CheckConfig(Record):
     """What to verify: theories x spaces at one truncation, seeded."""
 
-    theories: tuple[RingKind, ...]
-    spaces: tuple[Space, ...]
-    truncation: int
-    seed: int = 0
-    samples: int = 4
+    _fields = ("theories", "spaces", "truncation", "seed", "samples")
 
-    def __post_init__(self):
-        if not self.theories or not self.spaces:
+    def __init__(self, theories: tuple[RingKind, ...], spaces: tuple[Space, ...], truncation: int,
+                 seed: int = 0, samples: int = 4):
+        if not theories or not spaces:
             raise ValueError("need at least one theory and one space")
-        if self.samples < 1:
+        if samples < 1:
             raise ValueError("need at least one sample per identity")
-        dmax = max(s.total_dim for s in self.spaces)
-        if self.truncation < dmax + 1:
+        dmax = max(s.total_dim for s in spaces)
+        if truncation < dmax + 1:
             raise TruncationUnsoundError(
                 "truncation %d is unsound for spaces of dimension up to %d (need >= %d)"
-                % (self.truncation, dmax, dmax + 1)
+                % (truncation, dmax, dmax + 1)
             )
+        self._set(theories, spaces, truncation, seed, samples)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """One (check, theory, space) cell; its status follows from its witness."""
 
-    check: str
-    theory: str
-    space: str
-    witness: dict | None
-    identities: int = field(default=0, kw_only=True)  # pairs compared in this cell; not part of either output
+    _fields = ("check", "theory", "space", "witness", "identities")  # identities: pairs compared, not output
     status = property(lambda self: "pass" if self.witness is None else "fail")
 
-    def __post_init__(self):
-        if self.witness is not None and not isinstance(self.witness, dict):
-            raise TypeError("a report's witness is a dict or None, not %r" % (self.witness,))
+    def __init__(self, check: str, theory: str, space: str, witness: dict | None, *, identities: int = 0):
+        if witness is not None and not isinstance(witness, dict):
+            raise TypeError("a report's witness is a dict or None, not %r" % (witness,))
+        self._set(check, theory, space, witness, identities)
 
     def to_json_obj(self) -> dict:
         return dict(check=self.check, theory=self.theory, space=self.space, status=self.status, witness=self.witness)
 
 
 def _derive_rng(seed: int, *labels: str) -> random.Random:
+    import hashlib  # here, not at the top: nothing else needs it, and it is slow to load
+
     key = "|".join([str(seed), *labels]).encode()
     digest = hashlib.sha256(key).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
@@ -187,15 +181,15 @@ def _render(x) -> str:
     return str(x)
 
 
-@dataclass
-class _Ctx:
-    law: FGL
-    space: Space
-    rng: random.Random
-    samples: int
-    identities: int = 0
+class _Ctx(Record):
+    _fields = ("law", "space", "rng", "samples", "identities")
     kind = property(lambda self: self.law.kind)
     ring = property(lambda self: self.law.ring)
+    # ``_first_failure`` counts identities here: unlike the other records, assignable and unhashable
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, law: FGL, space: Space, rng: random.Random, samples: int, identities: int = 0):
+        self._set(law, space, rng, samples, identities)
 
 
 def _generators(space: Space) -> list[Morphism]:

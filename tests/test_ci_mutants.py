@@ -47,7 +47,7 @@ def test_workflow_runs_mutants():
     assert WORKFLOW.read_text().count("run_mutant() {") == 1
     paths = [args[0] for args in _mutants()]
     assert paths.count("src/orient_duality/verify.py") >= 6
-    assert paths.count("src/orient_duality/algebra.py") >= 2
+    assert paths.count("src/orient_duality/algebra.py") >= 3
     assert paths.count("src/orient_duality/gysin.py") >= 1
     assert paths.count("src/orient_duality/homodual.py") >= 1
     assert paths.count("src/orient_duality/fgl.py") >= 1
@@ -66,6 +66,12 @@ def test_each_mutant_anchor_lies_in_its_own_function():
         assert def_offset(text, fn) == start, fn
         at = anchor(text, fn, old)  # as the step's mutate.py searches
         assert at + len(old) <= end, "anchor %r of %s lies past the function in %s" % (old, fn, path)
+
+
+def test_record_mutant_is_run():
+    # the frozen-record base must be unable to take an assignment unnoticed
+    fns = [(args[0], args[1], args[2]) for args in _mutants()]
+    assert ("src/orient_duality/algebra.py", "Record.__setattr__", "raise AttributeError") in fns
 
 
 def test_anchors_find_methods():

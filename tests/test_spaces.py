@@ -481,3 +481,37 @@ def test_a_monomial_coefficient_is_exact():
         CohClass.monomial(Space((1,)), RING, (1,), coeff=True)
     with pytest.raises(ValueError, match=r"^coefficient True is not an int or a Fraction$"):
         HomClass.delta(Space((1,)), RING, (1,), coeff=True)
+
+
+@pytest.mark.parametrize("bad", [1.0, True, 2.5, "1"])
+def test_euler_refuses_a_twist_degree_that_is_not_an_int(bad):
+    # before any arithmetic: a float ended in a bare TypeError, a bool was called a coefficient
+    law = multiplicative_law(4)
+    with pytest.raises(ValueError, match=r"^twist degree %s is not an int$" % re.escape(repr(bad))):
+        euler(Space((1, 2)), (bad, 1), law)
+    with pytest.raises(ValueError, match=r"^twist degree %s is not an int$" % re.escape(repr(bad))):
+        euler(Space((1, 2)), (0, bad), law)
+
+
+def test_index_arguments_must_be_sequences():
+    X = Space((1, 2))
+    with pytest.raises(ValueError, match=r"^kept factors 1 are not a tuple of factor indices$"):
+        Projection(X, 1)
+    with pytest.raises(ValueError, match=r"^permuted factors 0 are not a tuple of factor indices$"):
+        Permutation(X, 0)
+    for cls in (CohClass, HomClass):
+        with pytest.raises(ValueError, match=r"^exponents 1 are not a tuple of ints$"):
+            cls.monomial(X, RING, 1)
+    # lists still read as tuples
+    assert Projection(X, [1]) == Projection(X, (1,)) and Permutation(X, [1, 0]) == Permutation(X, (1, 0))
+    assert CohClass.monomial(X, RING, [1, 0]) == CohClass.monomial(X, RING, (1, 0))
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "2"])
+def test_a_monomial_coefficient_that_is_not_exact_is_refused_by_value(bad):
+    # a float was passed on and blamed on the ring
+    message = r"^coefficient %s is not an int or a Fraction$" % re.escape(repr(bad))
+    with pytest.raises(ValueError, match=message):
+        CohClass.monomial(Space((1, 2)), RING, (1, 0), coeff=bad)
+    with pytest.raises(ValueError, match=message):
+        HomClass.delta(Space((1, 2)), RING, (1, 0), coeff=bad)
